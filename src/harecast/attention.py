@@ -32,11 +32,10 @@ __all__ = [
 class AttentionConfig:
     model_dim: int
     heads: int
-    layers: int = 1
 
     def __post_init__(self):
-        if self.model_dim <= 0 or self.heads <= 0 or self.layers <= 0:
-            raise ConfigError("model_dim, heads and layers must be positive")
+        if self.model_dim <= 0 or self.heads <= 0:
+            raise ConfigError("model_dim and heads must be positive")
         if self.model_dim % self.heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"

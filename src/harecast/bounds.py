@@ -81,13 +81,8 @@ def draw_samples(spec: DistributionSpec) -> np.ndarray:
         base = rng.normal((spec.n, spec.dim))
         return np.where(comp, m1 + 0.7 * spec.scale * base, m2 + 1.3 * spec.scale * base)
     # Gaussian tokens through a fixed random attention block, flattened.
-    feat = 2
-    tokens = spec.dim // feat
-    cfg = AttentionConfig(model_dim=feat, heads=1)
-    params = AttentionParams.init(cfg, rng.spawn(7), scale=1.0)
-    x = spec.scale * rng.normal((spec.n, tokens, feat))
-    y, _ = mha_forward(x, cfg, params)
-    return (x + y).reshape(spec.n, spec.dim)
+    block = _attention_block_map(spec.dim, rng.spawn(7))
+    return block(spec.scale * rng.normal((spec.n, spec.dim)))
 
 
 def total_variance(samples) -> float:
@@ -105,21 +100,30 @@ def linear_map(matrix) -> "callable":
     return lambda xs: xs @ m.T
 
 
-def attention_pushforward_map(dim: int, seed: int, gain: float = 1.0):
-    """Fixed random attention block as a response map on flat vectors."""
+def _attention_block_map(dim: int, rng: SeededRng):
+    """Residual single-head attention block of random weights from rng.
+
+    Acts on (n, dim) vectors read as dim / 2 tokens of 2 features.
+    """
     if dim < 4 or dim % 2:
         raise ConfigError("attention map needs an even dim >= 4")
     feat = 2
     tokens = dim // feat
     cfg = AttentionConfig(model_dim=feat, heads=1)
-    params = AttentionParams.init(cfg, SeededRng(seed, stream=202), scale=1.0)
+    params = AttentionParams.init(cfg, rng, scale=1.0)
 
     def apply(xs: np.ndarray) -> np.ndarray:
         t = xs.reshape(xs.shape[0], tokens, feat)
         y, _ = mha_forward(t, cfg, params)
-        return gain * (t + y).reshape(xs.shape[0], dim)
+        return (t + y).reshape(xs.shape[0], dim)
 
     return apply
+
+
+def attention_pushforward_map(dim: int, seed: int, gain: float = 1.0):
+    """Fixed random attention block as a response map on flat vectors."""
+    block = _attention_block_map(dim, SeededRng(seed, stream=202))
+    return lambda xs: gain * block(xs)
 
 
 def estimate_cf(response_map, x_samples) -> float:
@@ -251,7 +255,9 @@ def check_theorem1(
     var_y = total_variance(y)
     var_f = total_variance(f)
     var_yhat = total_variance(yhat)
-    c_f = estimate_cf(response_map, x)
+    if var_x == 0.0:
+        raise DegenerateInputError("input samples have zero variance")
+    c_f = float(np.sqrt(var_f / var_x))
     c_g = sigma_min(head.w)
 
     if c_g * c_f <= 1.0:

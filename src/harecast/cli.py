@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import render_report, run_verification_suite
 from .errors import ConfigError, DataError, HarecastError, ShapeError
 from .gradcheck import run_gradcheck_suite
-from .metrics import METEONET_THRESHOLDS, SEVIR_THRESHOLDS, contingency, csi, hss, pooled_csi, ssim
+from .metrics import METEONET_THRESHOLDS, SEVIR_THRESHOLDS, evaluate_pair
 from .svg import heatmap_svg
 from .synthdata import load_tensors, save_tensors
 from .trace import analyze_trace, read_trace, write_trace
@@ -209,27 +209,11 @@ def cmd_eval(args) -> int:
     pred_stack = np.concatenate([_load_frames(preds[n]) for n in sorted(preds)], axis=0)
     truth_stack = np.concatenate([_load_frames(truths[n]) for n in sorted(truths)], axis=0)
 
-    rows = []
-    csis, hsses, pooled4, pooled16 = [], [], [], []
-    for thr in thresholds:
-        cc = contingency(pred_stack, truth_stack, thr)
-        if cc.hits + cc.false_alarms + cc.misses == 0:
-            rows.append((f"csi_{thr}", "skipped"))
-            continue
-        value = csi(cc)
-        csis.append(value)
-        hsses.append(hss(cc))
-        pooled4.append(pooled_csi(pred_stack, truth_stack, thr, 4))
-        pooled16.append(pooled_csi(pred_stack, truth_stack, thr, 16))
-        rows.append((f"csi_{thr}", value))
-    summary = [
-        ("csi_m", float(np.mean(csis)) if csis else float("nan")),
-        ("pooled_csi_4", float(np.mean(pooled4)) if pooled4 else float("nan")),
-        ("pooled_csi_16", float(np.mean(pooled16)) if pooled16 else float("nan")),
-        ("hss", float(np.mean(hsses)) if hsses else float("nan")),
-        ("ssim", ssim(pred_stack, truth_stack)),
-    ]
-    all_rows = [(name, _fmt(v) if isinstance(v, float) else v) for name, v in rows + summary]
+    scores = evaluate_pair(pred_stack, truth_stack, thresholds)
+    per_threshold = scores["csi_per_threshold"]
+    rows = [(f"csi_{thr}", per_threshold.get(thr, "skipped")) for thr in thresholds]
+    rows += [(name, scores[name]) for name in ("csi_m", "pooled_csi_4", "pooled_csi_16", "hss", "ssim")]
+    all_rows = [(name, _fmt(v) if isinstance(v, float) else v) for name, v in rows]
     if args.out_csv:
         write_csv(args.out_csv, ("metric", "value"), all_rows)
     width = max(len(name) for name, _ in all_rows)

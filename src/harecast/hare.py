@@ -44,9 +44,7 @@ class HareConfig:
     batch-mean target out of the gradient (the target is a reference the
     samples move toward, not a quantity they push around); the non-detached
     variant exists for ablation.  grouping=False collapses all heads into a
-    single group with one shared target.  normalize_by_tokens divides
-    energies by token count; off by default, the statistic is a raw
-    Frobenius square.
+    single group with one shared target.
     """
 
     alpha: float = 0.75
@@ -54,7 +52,6 @@ class HareConfig:
     grouping: bool = True
     mask_strategy: str = "all_ones"
     mask_fraction: float = 0.5
-    normalize_by_tokens: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -104,12 +101,10 @@ class GroupEnergies:
     sizes: np.ndarray
 
 
-def compute_energies(acts: HeadActivations, normalize_by_tokens: bool = False) -> EnergyBatch:
+def compute_energies(acts: HeadActivations) -> EnergyBatch:
     """Energy e[i,m] = ||O_{i,m}||_F^2 plus batch/head means."""
     o = acts.o
     e = np.sum(o * o, axis=(2, 3))
-    if normalize_by_tokens:
-        e = e / o.shape[2]
     head_means = e.mean(axis=0)
     return EnergyBatch(energies=e, head_means=head_means, mean_energy=float(head_means.mean()))
 
@@ -193,18 +188,17 @@ def hare_grad_to_O(grad_ge: np.ndarray, part: HeadPartition, acts: HeadActivatio
     return _grad_to_o(grad_ge, part.groups, acts)
 
 
-def _grad_to_o(grad_ge, groups, acts, normalize_by_tokens: bool = False) -> np.ndarray:
+def _grad_to_o(grad_ge, groups, acts) -> np.ndarray:
     o = acts.o
     if grad_ge.shape != (o.shape[0], len(groups)):
         raise ShapeError(
             f"grad_ge shape {grad_ge.shape} != ({o.shape[0]}, {len(groups)})"
         )
     grad_o = np.zeros_like(o)
-    token_scale = 1.0 / o.shape[2] if normalize_by_tokens else 1.0
     for g, members in enumerate(groups):
         if not members:
             continue
-        coeff = grad_ge[:, g] * (token_scale / len(members))
+        coeff = grad_ge[:, g] * (1.0 / len(members))
         for m in members:
             grad_o[:, m] = coeff[:, None, None] * 2.0 * o[:, m]
     return grad_o
@@ -248,12 +242,12 @@ def block_stabilization(acts: HeadActivations, mask: np.ndarray, cfg: HareConfig
     With grouping disabled, all heads form a single group with one shared
     target (the no-grouping ablation).
     """
-    eb = compute_energies(acts, normalize_by_tokens=cfg.normalize_by_tokens)
+    eb = compute_energies(acts)
     if cfg.grouping:
         part = partition_heads(eb, cfg.alpha)
         ge = group_energies(eb, part)
         loss, grad_ge = hare_loss(ge, mask, cfg)
-        grad_o = _grad_to_o(grad_ge, part.groups, acts, cfg.normalize_by_tokens)
+        grad_o = _grad_to_o(grad_ge, part.groups, acts)
         return BlockHareResult(loss=loss, grad_o=grad_o, energy=eb, partition=part, group=ge)
     all_heads = tuple(range(eb.energies.shape[1]))
     ge = GroupEnergies(
@@ -262,5 +256,5 @@ def block_stabilization(acts: HeadActivations, mask: np.ndarray, cfg: HareConfig
         sizes=np.array([len(all_heads)]),
     )
     loss, grad_ge = hare_loss(ge, mask, cfg)
-    grad_o = _grad_to_o(grad_ge, (all_heads,), acts, cfg.normalize_by_tokens)
+    grad_o = _grad_to_o(grad_ge, (all_heads,), acts)
     return BlockHareResult(loss=loss, grad_o=grad_o, energy=eb, partition=None, group=ge)

@@ -67,11 +67,6 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache):
     return grad_w, grad_b, padded[:, :, PAD:PAD + h, PAD:PAD + wd]
 
 
-def tanh_forward(x: np.ndarray):
-    y = np.tanh(x)
-    return y, y
-
-
 def tanh_backward(grad_y: np.ndarray, y: np.ndarray) -> np.ndarray:
     return grad_y * (1.0 - y * y)
 

@@ -64,6 +64,9 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.bottleneck % self.heads:
             raise ConfigError("bottleneck channels must divide across heads")
+        # The sinusoidal embedding has 2 * (time_dim // 2) columns.
+        if self.time_dim < 2 or self.time_dim % 2:
+            raise ConfigError(f"time_dim must be a positive even number, got {self.time_dim}")
 
     @property
     def in_channels(self) -> int:
@@ -207,42 +210,21 @@ def noising(y01: np.ndarray, t: np.ndarray, eps: np.ndarray, sched: DiffusionSch
 
 
 def diffusion_loss(x_t, t, cond, eps, cfg: DenoiserConfig, params: dict, grads: dict | None = None):
-    """Noise-prediction MSE; optionally accumulates grads.
+    """Noise-prediction MSE.
 
-    Returns (loss, per_sample) and, with grads, also grad wrt the
-    conditioning vector.
+    Returns (loss, per_sample, g_cond).  With a grads registry supplied,
+    denoiser gradients are accumulated into it and g_cond is the gradient
+    wrt the conditioning vector; otherwise g_cond is None.
     """
     eps_hat, cache = denoiser_forward(x_t, t, cond, cfg, params)
     diff = eps_hat - eps
     count = diff.size
     loss = float(np.sum(diff * diff)) / count
     per_sample = np.sum(diff * diff, axis=(1, 2, 3)) * (diff.shape[0] / count)
-    if grads is None:
-        return loss, per_sample
-    g_cond = denoiser_backward(2.0 * diff / count, cfg, params, cache, grads)
+    g_cond = None
+    if grads is not None:
+        g_cond = denoiser_backward(2.0 * diff / count, cfg, params, cache, grads)
     return loss, per_sample, g_cond
-
-
-def diffusion_train_step(y_future, cond, sched: DiffusionSchedule, rng: SeededRng,
-                         cfg: DenoiserConfig, params: dict, eps_fn=None):
-    """One noise-prediction training evaluation with internal draws.
-
-    Samples per-sample steps uniformly in {1..T} and standard-normal noise,
-    then scores the predicted noise.  eps_fn(x_t, t, cond) overrides the
-    parametric denoiser (e.g. for oracle checks).  Returns
-    (loss, (t, eps)).
-    """
-    y_future = np.asarray(y_future, dtype=np.float64)
-    bsz = y_future.shape[0]
-    t = np.asarray(rng.integers(1, sched.steps + 1, size=bsz))
-    eps = rng.normal(y_future.shape)
-    x_t = noising(y_future, t, eps, sched)
-    if eps_fn is None:
-        loss, _ = diffusion_loss(x_t, t, cond, eps, cfg, params)
-    else:
-        eps_hat = eps_fn(x_t, t, cond)
-        loss = float(np.mean((eps_hat - eps) ** 2))
-    return loss, (t, eps)
 
 
 def ddim_steps(total: int, n_steps: int) -> np.ndarray:

@@ -39,7 +39,9 @@ class EncoderConfig:
             raise ConfigError(
                 f"spatial dims {(self.height, self.width)} not divisible by patch {self.patch}"
             )
-        AttentionConfig(model_dim=self.dim, heads=self.heads, layers=self.layers)
+        if self.layers < 1:
+            raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        self.attention  # AttentionConfig validates dim and heads
 
     @property
     def channels(self) -> int:
@@ -55,7 +57,7 @@ class EncoderConfig:
 
     @property
     def attention(self) -> AttentionConfig:
-        return AttentionConfig(model_dim=self.dim, heads=self.heads, layers=self.layers)
+        return AttentionConfig(model_dim=self.dim, heads=self.heads)
 
 
 def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
@@ -182,8 +184,8 @@ def reconstruction_loss(
 ):
     """Mean-squared reconstruction error summed over present modalities.
 
-    With a grads registry supplied, accumulates decoder gradients and
-    returns (loss, per_sample, grad_f); otherwise just (loss, per_sample).
+    Returns (loss, per_sample, grad_f).  With a grads registry supplied,
+    decoder gradients are accumulated into it; otherwise grad_f is None.
     """
     loss = 0.0
     grad_f = np.zeros_like(f) if grads is not None else None
@@ -201,9 +203,7 @@ def reconstruction_loss(
             grads[f"dec.{modality}.w"] += np.einsum("bnd,bnp->dp", f, g_tokens)
             grads[f"dec.{modality}.b"] += g_tokens.sum(axis=(0, 1))
             grad_f += g_tokens @ params[f"dec.{modality}.w"].T
-    if grads is not None:
-        return loss, per_sample, grad_f
-    return loss, per_sample
+    return loss, per_sample, grad_f
 
 
 def conditioning_forward(f: np.ndarray, params: dict):

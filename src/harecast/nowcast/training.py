@@ -166,26 +166,13 @@ def objective(
     inputs = {"radar": batch["x_radar"]}
     if x_sat is not None:
         inputs["satellite"] = x_sat
-    if compute_grads:
-        l_recon, _, grad_f_recon = reconstruction_loss(
-            f, inputs, enc_cfg, model.params, grads
-        )
-    else:
-        l_recon, _ = reconstruction_loss(f, inputs, enc_cfg, model.params)
-        grad_f_recon = None
+    l_recon, _, grad_f_recon = reconstruction_loss(f, inputs, enc_cfg, model.params, grads)
 
     cond, pooled = conditioning_forward(f, model.params)
     x_t = noising(batch["y_future"], draws.t, draws.eps, model.sched)
-    if compute_grads:
-        l_diff, per_sample_diff, g_cond = diffusion_loss(
-            x_t, draws.t, cond, draws.eps, den_cfg, model.params, grads
-        )
-        grad_f_diff = conditioning_backward(
-            cfg.lambda_diff * g_cond, pooled, f.shape, model.params, grads
-        )
-    else:
-        l_diff, per_sample_diff = diffusion_loss(x_t, draws.t, cond, draws.eps, den_cfg, model.params)
-        grad_f_diff = None
+    l_diff, per_sample_diff, g_cond = diffusion_loss(
+        x_t, draws.t, cond, draws.eps, den_cfg, model.params, grads
+    )
 
     l_hare = 0.0
     grad_o_extra = None
@@ -204,7 +191,10 @@ def objective(
             energies.append(res.energy)
             partitions.append(res.partition)
 
-    if compute_grads:
+    if grads is not None:
+        grad_f_diff = conditioning_backward(
+            cfg.lambda_diff * g_cond, pooled, f.shape, model.params, grads
+        )
         # Decoder and denoiser grads were accumulated with unit weight on
         # their own parameters; apply the loss weights before the encoder
         # backward, whose incoming gradients already carry them (the cond
@@ -326,25 +316,26 @@ def train(cfg: TrainConfig, hare_enabled: bool | None = None) -> TrainResult:
     )
 
 
+def sample_conditioned(model: Model, f: np.ndarray, n_steps: int, rng: SeededRng) -> np.ndarray:
+    """DDIM forecast (B, frames_out, H, W) conditioned on the latent F (B, N, dim)."""
+    cond, _ = conditioning_forward(f, model.params)
+
+    def eps_fn(x, t):
+        out, _ = denoiser_forward(x, t, cond, model.den_cfg, model.params)
+        return out
+
+    shape = (f.shape[0], model.den_cfg.out_channels, model.enc_cfg.height, model.enc_cfg.width)
+    return ddim_sample(eps_fn, model.sched, shape, n_steps, rng)
+
+
 def make_predictor(model: Model, cfg: TrainConfig, base_rng: SeededRng):
     """Chunk predictor for rollout; decoders are never touched here."""
     state = {"calls": 0}
 
     def predict_chunk(context: np.ndarray, x_sat: np.ndarray | None = None) -> np.ndarray:
         f, _ = encode(context[None], None if x_sat is None else x_sat[None], model.enc_cfg, model.params)
-        cond, _ = conditioning_forward(f, model.params)
-
-        def eps_fn(x, t):
-            out, _ = denoiser_forward(x, t, cond, model.den_cfg, model.params)
-            return out
-
         state["calls"] += 1
-        sample = ddim_sample(
-            eps_fn, model.sched,
-            (1, model.den_cfg.out_channels, model.enc_cfg.height, model.enc_cfg.width),
-            cfg.sample_steps, base_rng.spawn(state["calls"]),
-        )
-        return sample[0]
+        return sample_conditioned(model, f, cfg.sample_steps, base_rng.spawn(state["calls"]))[0]
 
     return predict_chunk
 
@@ -389,17 +380,7 @@ def probe_model(model: Model, cfg: TrainConfig, probe_specs) -> tuple[list, dict
         group = specs[b * bsz:(b + 1) * bsz]
         data = render_dataset(group, cfg)
         f, enc_cache = encode(data["x_radar"], data.get("x_sat"), model.enc_cfg, model.params)
-        cond, _ = conditioning_forward(f, model.params)
-
-        def eps_fn(x, t):
-            out, _ = denoiser_forward(x, t, cond, model.den_cfg, model.params)
-            return out
-
-        pred = ddim_sample(
-            eps_fn, model.sched,
-            (bsz, model.den_cfg.out_channels, cfg.height, cfg.width),
-            cfg.sample_steps, rng.spawn(b + 1),
-        )
+        pred = sample_conditioned(model, f, cfg.sample_steps, rng.spawn(b + 1))
         csi = csi_m(pred, data["y_future"], SEVIR_THRESHOLDS)
         csi = 0.0 if np.isnan(csi) else csi
         energies = [compute_energies(acts) for acts in enc_cache.acts]

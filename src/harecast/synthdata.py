@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .tensor_core import SeededRng
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "make_split",
     "save_tensors",
     "load_tensors",
-    "write_pgm_stack",
 ]
 
 SAT_BLUR_SIGMA = 1.0
@@ -174,34 +173,31 @@ def save_tensors(path, tensors: dict) -> None:
             fh.write(arr.astype("<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise DataError(f"{path}: truncated tensor container")
+    return data
+
+
 def load_tensors(path) -> dict:
+    """Inverse of save_tensors; a malformed or truncated file raises DataError."""
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
-            raise ShapeError(f"{path} is not a tensor container")
-        (count,) = struct.unpack("<I", fh.read(4))
+            raise DataError(f"{path} is not a tensor container")
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
         out = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, path))
+            try:
+                name = _read_exact(fh, nlen, path).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: entry name is not UTF-8") from exc
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
+            shape = tuple(struct.unpack("<I", _read_exact(fh, 4, path))[0] for _ in range(ndim))
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(_read_exact(fh, 8 * n, path), dtype="<f8").reshape(shape)
             out[name] = np.array(data, dtype=np.float64)
         return out
 
-
-def write_pgm_stack(directory, frames: np.ndarray, prefix: str = "frame") -> list[Path]:
-    """Dump frames as 8-bit portable graymaps for quick inspection."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for t, frame in enumerate(np.asarray(frames, dtype=np.float64)):
-        img = np.clip(np.round(frame * 255.0), 0, 255).astype(np.uint8)
-        p = directory / f"{prefix}_{t:03d}.pgm"
-        with open(p, "wb") as fh:
-            fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
-            fh.write(img.tobytes())
-        paths.append(p)
-    return paths

@@ -1,10 +1,10 @@
-"""Dense-array kernel: matmul, row softmax, Frobenius energy, seeded RNG.
+"""Dense-array kernel: row softmax and the seeded RNG.
 
 All numerics run on 64-bit floats carried by numpy arrays in row-major
-order.  Shape mismatches raise, never broadcast.  Randomness comes from a
-counter-based Philox stream, so identical seeds reproduce identical value
-streams on every platform; normal variates are produced by a fixed
-Box-Muller transform over that uniform stream.
+order.  Randomness comes from a counter-based Philox stream, so identical
+seeds reproduce identical value streams on every platform; normal variates
+are produced by a fixed Box-Muller transform over that uniform stream.
+Invalid draw shapes raise ShapeError.
 """
 
 from __future__ import annotations
@@ -17,32 +17,8 @@ from .errors import ShapeError
 
 __all__ = [
     "SeededRng",
-    "matmul",
     "softmax_rows",
-    "frobenius_sq",
-    "as_matrix",
-    "rng_normal",
-    "rng_uniform",
 ]
-
-
-def as_matrix(a, name: str = "array") -> np.ndarray:
-    """Coerce to a 2-D float64 array, raising ShapeError otherwise."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
-    return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D arrays with explicit shape checking."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def softmax_rows(a) -> np.ndarray:
@@ -53,12 +29,6 @@ def softmax_rows(a) -> np.ndarray:
     shifted = a - np.max(a, axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=-1, keepdims=True)
-
-
-def frobenius_sq(a) -> float:
-    """Sum of squared entries (squared Frobenius norm for matrices)."""
-    arr = np.asarray(a, dtype=np.float64)
-    return float(np.sum(arr * arr))
 
 
 def _check_shape(shape) -> tuple[int, ...]:
@@ -114,11 +84,3 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def rng_normal(rng: SeededRng, shape) -> np.ndarray:
-    return rng.normal(shape)
-
-
-def rng_uniform(rng: SeededRng, shape) -> np.ndarray:
-    return rng.uniform(shape)

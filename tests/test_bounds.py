@@ -148,6 +148,11 @@ class TestTheorem1:
         assert rep.constants["bias_sq"] == pytest.approx(b * b, rel=0.02)
         assert all(r.holds for r in res.reports)
 
+    def test_degenerate_input_rejected(self):
+        x = np.ones((10, 2))
+        with pytest.raises(DegenerateInputError):
+            check_theorem1(x, linear_map(2.0 * np.eye(2)), LinearHead.from_matrix(np.eye(2)), x)
+
     def test_subunit_product_refused(self):
         x = SeededRng(9).normal((5_000, 2))
         res = check_theorem1(x, linear_map(0.4 * np.eye(2)), LinearHead.from_matrix(np.eye(2)), x)

@@ -7,7 +7,6 @@ from harecast.nowcast.diffusion import (
     DenoiserConfig,
     ddim_sample,
     diffusion_loss,
-    diffusion_train_step,
     init_denoiser_params,
     make_schedule,
     noising,
@@ -116,7 +115,7 @@ class TestReconstruct:
         f, _ = encode(x, None, cfg, params)
         recon = reconstruct(f, cfg, params)
         np.testing.assert_allclose(recon["radar"], x, atol=1e-12)
-        loss, _ = reconstruction_loss(f, {"radar": x}, cfg, params)
+        loss, _, _ = reconstruction_loss(f, {"radar": x}, cfg, params)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_loss_matches_mse_oracle(self):
@@ -124,7 +123,8 @@ class TestReconstruct:
         params = init_encoder_params(cfg, SeededRng(9), cond_dim=4)
         x = SeededRng(10).uniform((3, 2, 16, 16))
         f, _ = encode(x, None, cfg, params)
-        loss, _ = reconstruction_loss(f, {"radar": x}, cfg, params)
+        loss, _, grad_f = reconstruction_loss(f, {"radar": x}, cfg, params)
+        assert grad_f is None  # no grads registry, no backward
         recon = reconstruct(f, cfg, params)["radar"]
         oracle = float(np.mean((recon - x) ** 2))
         assert loss == pytest.approx(oracle, abs=1e-12)
@@ -188,34 +188,22 @@ class TestDenoiser:
         t = np.asarray(rng.integers(1, 1001, size=bsz))
         eps = rng.normal(y.shape)
         x_t = noising(y, t, eps, sched)
-        loss, _ = diffusion_loss(x_t, t, np.zeros((bsz, 4)), eps, cfg, params)
+        loss, _, g_cond = diffusion_loss(x_t, t, np.zeros((bsz, 4)), eps, cfg, params)
+        assert g_cond is None  # no grads registry, no backward
         n = eps.size
         assert abs(loss - 1.0) < 3 * np.sqrt(2.0 / n)
 
     def test_oracle_noise_model_gives_zero_loss(self):
-        cfg = DenoiserConfig(out_channels=2, cond_dim=4, base=4, mid=6, bottleneck=8, heads=2)
-        params = init_denoiser_params(cfg, SeededRng(40))
         sched = make_schedule(1000)
         y = SeededRng(41).uniform((3, 2, 8, 8))
-
-        def oracle(x_t, t, cond):
-            # Invert the forward noising given the clean target.
-            ab = sched.alpha_bars[np.asarray(t) - 1][:, None, None, None]
-            return (x_t - np.sqrt(ab) * (2.0 * y - 1.0)) / np.sqrt(1.0 - ab)
-
-        loss, (t, eps) = diffusion_train_step(
-            y, np.zeros((3, 4)), sched, SeededRng(42), cfg, params, eps_fn=oracle
-        )
-        assert loss == pytest.approx(0.0, abs=1e-20)
-        assert t.shape == (3,) and eps.shape == y.shape
-
-    def test_train_step_with_zero_net_near_unit_loss(self):
-        cfg = DenoiserConfig(out_channels=2, cond_dim=4, base=4, mid=6, bottleneck=8, heads=2)
-        params = {k: np.zeros_like(v) for k, v in init_denoiser_params(cfg, SeededRng(43)).items()}
-        sched = make_schedule(1000)
-        y = SeededRng(44).uniform((24, 2, 16, 16))
-        loss, _ = diffusion_train_step(y, np.zeros((24, 4)), sched, SeededRng(45), cfg, params)
-        assert abs(loss - 1.0) < 3 * np.sqrt(2.0 / (24 * 2 * 16 * 16))
+        rng = SeededRng(42)
+        t = np.asarray(rng.integers(1, sched.steps + 1, size=3))
+        eps = rng.normal(y.shape)
+        x_t = noising(y, t, eps, sched)
+        # Invert the forward noising given the clean target.
+        ab = sched.alpha_bars[t - 1][:, None, None, None]
+        eps_hat = (x_t - np.sqrt(ab) * (2.0 * y - 1.0)) / np.sqrt(1.0 - ab)
+        assert float(np.mean((eps_hat - eps) ** 2)) == pytest.approx(0.0, abs=1e-20)
 
 
 class TestDdim:
@@ -317,6 +305,21 @@ class TestTraining:
     def test_hare_needs_batch_statistics(self):
         with pytest.raises(ConfigError):
             train(micro_cfg(batch_size=1, lambda_hare=1.0))
+
+    @pytest.mark.parametrize("hare_enabled", [True, False])
+    def test_forward_only_objective_matches_full_pass(self, hare_enabled):
+        cfg = micro_cfg()
+        model = build_model(cfg)
+        specs, _, _ = make_split(cfg.seed, 4, 2, 2, 16, 16)
+        data = render_dataset(specs, cfg)
+        batch = {k: v[:2] for k, v in data.items()}
+        draws = FrozenDraws(t=np.array([5, 700]), eps=SeededRng(37).normal(batch["y_future"].shape))
+        full = objective(model, batch, draws, cfg, hare_enabled)
+        fwd = objective(model, batch, draws, cfg, hare_enabled, compute_grads=False)
+        assert fwd.grads is None and full.grads is not None
+        for name in ("total", "recon", "hare", "diff"):
+            assert getattr(fwd, name) == getattr(full, name), name
+        assert (full.hare != 0.0) == hare_enabled
 
     def test_objective_gradient_matches_finite_differences(self):
         for seed in (0, 1):

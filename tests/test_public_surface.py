@@ -1,0 +1,48 @@
+"""Guards on the names other code reaches by attribute.
+
+Every `__all__` entry must resolve, and every layer function the traced
+benchmark wraps (perfbench/workloads.py `instrument`) must still exist, so
+a deletion that would break an import or the traced run fails here first.
+"""
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import harecast
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def harecast_modules():
+    names = ["harecast"] + [
+        info.name for info in pkgutil.walk_packages(harecast.__path__, prefix="harecast.")
+    ]
+    return [importlib.import_module(name) for name in names]
+
+
+@pytest.mark.parametrize("module", harecast_modules(), ids=lambda m: m.__name__)
+def test_all_entries_resolve(module):
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+class ResolvingTracer:
+    """Stand-in for the benchmark's Tracer: only looks each attribute up."""
+
+    def __init__(self):
+        self.patched = []
+
+    def patch(self, owner, attr, name, counter=None):
+        getattr(owner, attr)
+        self.patched.append((owner, attr))
+
+
+def test_benchmark_instrumentation_targets_exist(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    tracer = ResolvingTracer()
+    workloads.instrument(tracer, stage_of={})
+    assert tracer.patched

@@ -13,7 +13,6 @@ from harecast.synthdata import (
     make_split,
     random_event_spec,
     save_tensors,
-    write_pgm_stack,
 )
 
 
@@ -113,13 +112,6 @@ class TestContainer:
         save_tensors(p1, arr)
         save_tensors(p2, arr)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_pgm_stack(self, tmp_path):
-        radar, _ = generate_event(single_blob_event(center=(8.0, 8.0)), 3, 16, 16)
-        paths = write_pgm_stack(tmp_path, radar.frames)
-        assert len(paths) == 3
-        head = paths[0].read_bytes()[:15]
-        assert head.startswith(b"P5\n16 16\n255\n")
 
 
 class TestFrameSequence:

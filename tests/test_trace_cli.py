@@ -3,6 +3,7 @@ import pytest
 
 from harecast.cli import main
 from harecast.errors import ConfigError, DataError
+from harecast.metrics import SEVIR_THRESHOLDS, evaluate_pair
 from harecast.synthdata import save_tensors
 from harecast.trace import TraceRecord, analyze_trace, read_trace, write_trace
 
@@ -158,6 +159,13 @@ class TestCliCommands:
     def test_invalid_alpha_rejected(self, tmp_path, capsys):
         assert self.run("train-toy", "--out", str(tmp_path / "x"), "--alpha", "1.5") == 2
 
+    @pytest.mark.parametrize("time_dim", ["7", "0", "-4"])
+    def test_odd_or_nonpositive_time_dim_rejected(self, tmp_path, capsys, time_dim):
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), "--time-dim", time_dim) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: time_dim") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("bogus_key = 3\n", encoding="utf-8")
@@ -240,6 +248,41 @@ class TestCliEval:
         rows = dict(line.split(",") for line in csv.read_text().splitlines()[1:])
         assert float(rows["csi_m"]) == 0.0
         assert float(rows["pooled_csi_4"]) == 1.0
+
+    def test_csv_is_the_evaluate_pair_bundle(self, tmp_path, capsys):
+        pred_dir, truth_dir = tmp_path / "pred", tmp_path / "truth"
+        pred_dir.mkdir()
+        truth_dir.mkdir()
+        rng = np.random.default_rng(3)
+        # Fields below 0.8 never reach the 219/255 threshold: it is skipped.
+        pred, truth = (0.8 * rng.uniform(0, 1, size=(2, 16, 16)) for _ in range(2))
+        save_tensors(pred_dir / "a.bin", {"frames": pred})
+        save_tensors(truth_dir / "a.bin", {"frames": truth})
+        csv = tmp_path / "m.csv"
+        assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir),
+                     "--out-csv", str(csv)]) == 0
+        scores = evaluate_pair(pred, truth, SEVIR_THRESHOLDS)
+        want = ["metric,value"]
+        for thr in SEVIR_THRESHOLDS:
+            value = scores["csi_per_threshold"].get(thr)
+            want.append(f"csi_{thr},{'skipped' if value is None else repr(value)}")
+        for name in ("csi_m", "pooled_csi_4", "pooled_csi_16", "hss", "ssim"):
+            want.append(f"{name},{scores[name]!r}")
+        assert "csi_219,skipped" in want
+        assert csv.read_text().splitlines() == want
+
+    @pytest.mark.parametrize("cut", ["bad_magic", "cut_header", "cut_payload", "bad_name"])
+    def test_malformed_tensor_file_is_io_error(self, tmp_path, capsys, cut):
+        pred_dir, truth_dir = self.make_dirs(tmp_path)
+        path = pred_dir / "e1.bin"
+        blob = path.read_bytes()
+        path.write_bytes({"bad_magic": b"XXXX" + blob[4:],
+                          "cut_header": blob[:10],
+                          "cut_payload": blob[:-8],
+                          "bad_name": blob.replace(b"frames", b"\xfframes", 1)}[cut])
+        assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "e1.bin" in err and err.count("\n") == 1
 
     def test_mismatched_files_listed(self, tmp_path, capsys):
         pred_dir, truth_dir = self.make_dirs(tmp_path)
