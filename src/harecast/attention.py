@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .tensor_core import SeededRng, softmax_rows
+from .tensor_core import SeededRng, softmax_rows, weight_grad
 
 __all__ = [
     "AttentionConfig",
@@ -193,7 +193,7 @@ def mha_backward(
         )
 
     o_cat = _merge_heads(o)
-    g_wo = np.einsum("bnd,bne->de", o_cat, grad_y)
+    g_wo = weight_grad(o_cat, grad_y)
     g_bo = grad_y.sum(axis=(0, 1))
 
     g_o = _split_heads(grad_y @ params.wo.T, cfg.heads)
@@ -210,9 +210,9 @@ def mha_backward(
     g_q, g_k, g_v = (_merge_heads(t) for t in (g_q, g_k, g_v))
 
     grads = AttentionParams(
-        wq=np.einsum("bnd,bne->de", x, g_q),
-        wk=np.einsum("bnd,bne->de", x, g_k),
-        wv=np.einsum("bnd,bne->de", x, g_v),
+        wq=weight_grad(x, g_q),
+        wk=weight_grad(x, g_k),
+        wv=weight_grad(x, g_v),
         wo=g_wo,
         bq=g_q.sum(axis=(0, 1)),
         bk=g_k.sum(axis=(0, 1)),

@@ -105,10 +105,12 @@ _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 def _coerce(key: str, raw: str):
     typ = _CONFIG_TYPES[key]
-    if typ in ("int", int):
-        return int(raw)
-    if typ in ("float", float):
-        return float(raw)
+    if typ in ("int", int, "float", float):
+        convert = int if typ in ("int", int) else float
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key}: expected {convert.__name__}, got {raw!r}") from None
     if typ in ("bool", bool):
         if raw.lower() in ("1", "true", "yes"):
             return True
@@ -187,10 +189,14 @@ def cmd_train_toy(args) -> int:
 def _load_frames(path: Path) -> np.ndarray:
     tensors = load_tensors(path)
     if "frames" in tensors:
-        return tensors["frames"]
-    if len(tensors) == 1:
-        return next(iter(tensors.values()))
-    raise DataError(f"{path}: expected a 'frames' entry, found {sorted(tensors)}")
+        frames = tensors["frames"]
+    elif len(tensors) == 1:
+        frames = next(iter(tensors.values()))
+    else:
+        raise DataError(f"{path}: expected a 'frames' entry, found {sorted(tensors)}")
+    if not np.all(np.isfinite(frames)):
+        raise DataError(f"{path}: frames hold non-finite values")
+    return frames
 
 
 def cmd_eval(args) -> int:

@@ -1,10 +1,14 @@
 """Convolution, upsampling and activation primitives with exact backward.
 
-Convolutions run as im2col matrix products; weights are stored flat as
-(out_channels, in_channels * k * k) so the whole model lives in one flat
-name -> array registry.  Backward passes are hand-derived adjoints of the
-forward slicing, which keeps them exactly consistent with finite
-differences.
+A 3x3 pad-1 convolution is the sum of nine shifted products: for each
+kernel offset (ky, kx), the matching strided view of the padded input is
+multiplied by the (out_channels, in_channels) slice of the weight.  Every
+stride takes this one path, and no (B, Ho*Wo, Cin*9) column buffer is ever
+built (low-memory GEMM convolution, Anderson et al., arXiv 1709.03395).
+Weights are stored flat as (out_channels, in_channels * k * k), ordered
+(channel, ky, kx), so the whole model lives in one flat name -> array
+registry.  Backward passes are hand-derived adjoints of the forward
+slicing, which keeps them exactly consistent with finite differences.
 """
 
 from __future__ import annotations
@@ -22,49 +26,52 @@ PAD = 1
 
 @dataclass
 class ConvCache:
-    cols: np.ndarray  # (B, Ho*Wo, Cin*k*k)
-    x_shape: tuple
+    padded: np.ndarray  # (B, Cin, H + 2*PAD, W + 2*PAD)
     stride: int
-    out_hw: tuple
 
 
-def _im2col(x: np.ndarray, stride: int) -> tuple[np.ndarray, tuple]:
-    b, c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (KERNEL, KERNEL), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    ho, wo = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * KERNEL * KERNEL)
-    return np.ascontiguousarray(cols), (ho, wo)
+def _offsets(ho: int, wo: int, stride: int):
+    """(tap index, window of the padded image) for every kernel offset."""
+    for ky in range(KERNEL):
+        for kx in range(KERNEL):
+            window = (slice(ky, ky + ho * stride, stride), slice(kx, kx + wo * stride, stride))
+            yield ky * KERNEL + kx, (slice(None), slice(None)) + window
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
     """3x3 padded convolution; w is (Cout, Cin*9)."""
-    cin = x.shape[1]
+    bsz, cin, h, wd = x.shape
     if w.shape[1] != cin * KERNEL * KERNEL:
         raise ShapeError(f"conv weight {w.shape} incompatible with {cin} input channels")
-    cols, (ho, wo) = _im2col(x, stride)
-    out = cols @ w.T + b
-    out = out.transpose(0, 2, 1).reshape(x.shape[0], w.shape[0], ho, wo)
-    return out, ConvCache(cols=cols, x_shape=x.shape, stride=stride, out_hw=(ho, wo))
+    cout = w.shape[0]
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    padded = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
+    taps = w.reshape(cout, cin, KERNEL * KERNEL)
+    out = np.zeros((bsz, cout, ho * wo))
+    for k, window in _offsets(ho, wo, stride):
+        out += taps[:, :, k] @ padded[window].reshape(bsz, cin, ho * wo)
+    out += b[:, None]
+    return out.reshape(bsz, cout, ho, wo), ConvCache(padded=padded, stride=stride)
 
 
-def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache):
-    """Returns (grad_w, grad_b, grad_x)."""
+def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first_grad_channel: int = 0):
+    """Returns (grad_w, grad_b, grad_x).
+
+    grad_x covers input channels first_grad_channel onward only, so a
+    caller that reads just the trailing channels skips the rest.
+    """
     bsz, cout, ho, wo = grad_out.shape
-    g_flat = grad_out.reshape(bsz, cout, ho * wo).transpose(0, 2, 1)
-    grad_w = np.einsum("bpc,bpk->ck", g_flat, cache.cols)
-    grad_b = g_flat.sum(axis=(0, 1))
-    g_cols = g_flat @ w  # (B, Ho*Wo, Cin*k*k)
-
-    _, cin, h, wd = cache.x_shape
-    s = cache.stride
-    g_win = g_cols.reshape(bsz, ho, wo, cin, KERNEL, KERNEL).transpose(0, 3, 1, 2, 4, 5)
-    padded = np.zeros((bsz, cin, h + 2 * PAD, wd + 2 * PAD))
-    for ky in range(KERNEL):
-        for kx in range(KERNEL):
-            padded[:, :, ky:ky + ho * s:s, kx:kx + wo * s:s] += g_win[:, :, :, :, ky, kx]
-    return grad_w, grad_b, padded[:, :, PAD:PAD + h, PAD:PAD + wd]
+    padded = cache.padded
+    cin = padded.shape[1]
+    g = grad_out.reshape(bsz, cout, ho * wo)
+    taps = w.reshape(cout, cin, KERNEL * KERNEL)
+    grad_w = np.empty_like(taps)
+    grad_pad = np.zeros((bsz, cin - first_grad_channel) + padded.shape[2:])
+    for k, window in _offsets(ho, wo, cache.stride):
+        view = padded[window].reshape(bsz, cin, ho * wo)
+        grad_w[:, :, k] = np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
+        grad_pad[window] += (taps[:, first_grad_channel:, k].T @ g).reshape(bsz, -1, ho, wo)
+    return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_pad[:, :, PAD:-PAD, PAD:-PAD]
 
 
 def tanh_backward(grad_y: np.ndarray, y: np.ndarray) -> np.ndarray:

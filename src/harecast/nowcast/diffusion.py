@@ -162,8 +162,10 @@ def denoiser_backward(grad_eps, cfg: DenoiserConfig, params: dict, cache: Denois
     convs, tanhs = cache.convs, cache.tanhs
     bsz = grad_eps.shape[0]
 
-    def conv_back(name, g):
-        gw, gb, gx = conv2d_backward(g, params[f"den.{name}.w"], convs[name])
+    def conv_back(name, g, first_grad_channel=0):
+        gw, gb, gx = conv2d_backward(
+            g, params[f"den.{name}.w"], convs[name], first_grad_channel=first_grad_channel
+        )
         grads[f"den.{name}.w"] += gw
         grads[f"den.{name}.b"] += gb
         return gx
@@ -196,9 +198,8 @@ def denoiser_backward(grad_eps, cfg: DenoiserConfig, params: dict, cache: Denois
     g_h0 = conv_back("d1", g_pre) + g_h0_skip
     g_pre = tanh_backward(g_h0, tanhs["in"])
     time_back("t1", g_pre)
-    g_inp = conv_back("in", g_pre)
-
-    g_cond_map = g_inp[:, cfg.out_channels:, :, :]
+    # Only the broadcast conditioning channels of the input get a gradient.
+    g_cond_map = conv_back("in", g_pre, first_grad_channel=cfg.out_channels)
     return g_cond_map.sum(axis=(2, 3))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..attention import AttentionConfig, AttentionParams, mha_backward, mha_forward
 from ..errors import ConfigError, ShapeError
-from ..tensor_core import SeededRng
+from ..tensor_core import SeededRng, weight_grad
 
 MODALITIES = ("radar", "satellite")
 
@@ -163,7 +163,7 @@ def encode_backward(
         g = g + gx
     grads["enc.pos"] += g.sum(axis=0)
     grads["enc.embed.b"] += g.sum(axis=(0, 1))
-    grads["enc.embed.w"] += np.einsum("bnp,bnd->pd", cache.patches, g)
+    grads["enc.embed.w"] += weight_grad(cache.patches, g)
 
 
 def reconstruct(f: np.ndarray, cfg: EncoderConfig, params: dict) -> dict:
@@ -200,7 +200,7 @@ def reconstruction_loss(
         per_sample += np.sum(diff * diff, axis=(1, 2)) * (bsz / count)
         if grads is not None:
             g_tokens = 2.0 * diff / count
-            grads[f"dec.{modality}.w"] += np.einsum("bnd,bnp->dp", f, g_tokens)
+            grads[f"dec.{modality}.w"] += weight_grad(f, g_tokens)
             grads[f"dec.{modality}.b"] += g_tokens.sum(axis=(0, 1))
             grad_f += g_tokens @ params[f"dec.{modality}.w"].T
     return loss, per_sample, grad_f

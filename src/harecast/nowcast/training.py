@@ -79,6 +79,10 @@ class TrainConfig:
     probe_batches: int = 16
     run_id: str = "toy"
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+
     def hare(self) -> HareConfig:
         return HareConfig(
             alpha=self.alpha,

@@ -199,5 +199,7 @@ def load_tensors(path) -> dict:
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read_exact(fh, 8 * n, path), dtype="<f8").reshape(shape)
             out[name] = np.array(data, dtype=np.float64)
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after the last entry")
         return out
 

@@ -1,4 +1,4 @@
-"""Dense-array kernel: row softmax and the seeded RNG.
+"""Dense-array kernel: row softmax, token weight gradients and the seeded RNG.
 
 All numerics run on 64-bit floats carried by numpy arrays in row-major
 order.  Randomness comes from a counter-based Philox stream, so identical
@@ -18,6 +18,7 @@ from .errors import ShapeError
 __all__ = [
     "SeededRng",
     "softmax_rows",
+    "weight_grad",
 ]
 
 
@@ -29,6 +30,15 @@ def softmax_rows(a) -> np.ndarray:
     shifted = a - np.max(a, axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=-1, keepdims=True)
+
+
+def weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sum over all leading axes of x^T g: (..., d) and (..., e) -> (d, e).
+
+    The gradient of a weight applied to every token, as one BLAS GEMM over
+    the flattened rows.
+    """
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def _check_shape(shape) -> tuple[int, ...]:

@@ -91,3 +91,49 @@ def two_pass_total_variance(samples) -> float:
     n = len(samples)
     mean = sum(samples) / n
     return float(math.fsum(float(np.sum((s - mean) ** 2)) for s in samples) / n)
+
+
+def naive_conv2d(x, kernel, bias, stride):
+    """3x3 pad-1 convolution, one output value at a time.
+
+    x is (B, Cin, H, W), kernel (Cout, Cin, 3, 3), bias (Cout,).
+    """
+    bsz, cin, h, w = x.shape
+    cout = kernel.shape[0]
+    padded = np.zeros((bsz, cin, h + 2, w + 2))
+    padded[:, :, 1:h + 1, 1:w + 1] = x
+    ho = (h - 1) // stride + 1
+    wo = (w - 1) // stride + 1
+    out = np.zeros((bsz, cout, ho, wo))
+    for b in range(bsz):
+        for co in range(cout):
+            for oy in range(ho):
+                for ox in range(wo):
+                    acc = bias[co]
+                    for ci in range(cin):
+                        for ky in range(3):
+                            for kx in range(3):
+                                acc += kernel[co, ci, ky, kx] * padded[b, ci, oy * stride + ky, ox * stride + kx]
+                    out[b, co, oy, ox] = acc
+    return out
+
+
+def naive_conv2d_param_grads(x, grad_out, stride):
+    """(grad_kernel, grad_bias) of naive_conv2d for upstream grad_out."""
+    bsz, cin, h, w = x.shape
+    _, cout, ho, wo = grad_out.shape
+    padded = np.zeros((bsz, cin, h + 2, w + 2))
+    padded[:, :, 1:h + 1, 1:w + 1] = x
+    grad_kernel = np.zeros((cout, cin, 3, 3))
+    grad_bias = np.zeros(cout)
+    for b in range(bsz):
+        for co in range(cout):
+            for oy in range(ho):
+                for ox in range(wo):
+                    g = grad_out[b, co, oy, ox]
+                    grad_bias[co] += g
+                    for ci in range(cin):
+                        for ky in range(3):
+                            for kx in range(3):
+                                grad_kernel[co, ci, ky, kx] += g * padded[b, ci, oy * stride + ky, ox * stride + kx]
+    return grad_kernel, grad_bias

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from oracles import naive_conv2d, naive_conv2d_param_grads
 
 from harecast.errors import ConfigError
 from harecast.gradcheck import objective_gradcheck
+from harecast.nowcast.convnet import conv2d_backward, conv2d_forward
 from harecast.nowcast.diffusion import (
     DenoiserConfig,
     ddim_sample,
@@ -175,6 +177,56 @@ class TestSchedule:
         resid = x1 - (2 * y - 1) * np.sqrt(sched.alpha_bars[0])
         assert np.abs(resid).max() <= np.sqrt(1 - sched.alpha_bars[0]) * np.abs(eps).max() + 1e-12
         assert np.abs(x1 - (2 * y - 1)).max() < 0.1
+
+
+class TestConv:
+    """conv2d_forward/backward against the nested-loop oracle, at both strides."""
+
+    CASES = [(stride, hw) for stride in (1, 2) for hw in ((7, 9), (8, 6))]
+    IDS = [f"stride{stride}-{h}x{w}" for stride, (h, w) in CASES]
+
+    def setup_case(self, seed, stride, hw, cin=3, cout=4):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, cin) + hw)
+        w = rng.normal(size=(cout, cin * 9))
+        b = rng.normal(size=cout)
+        out, cache = conv2d_forward(x, w, b, stride)
+        g = rng.normal(size=out.shape)
+        return x, w, b, out, cache, g
+
+    @pytest.mark.parametrize("stride,hw", CASES, ids=IDS)
+    def test_forward_matches_oracle(self, stride, hw):
+        x, w, b, out, _, _ = self.setup_case(0, stride, hw)
+        want = naive_conv2d(x, w.reshape(4, 3, 3, 3), b, stride)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,hw", CASES, ids=IDS)
+    def test_param_grads_match_oracle(self, stride, hw):
+        x, w, _, _, cache, g = self.setup_case(1, stride, hw)
+        grad_w, grad_b, _ = conv2d_backward(g, w, cache)
+        want_w, want_b = naive_conv2d_param_grads(x, g, stride)
+        np.testing.assert_allclose(grad_w, want_w.reshape(w.shape), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad_b, want_b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,hw", CASES, ids=IDS)
+    def test_input_grad_is_the_adjoint(self, stride, hw):
+        # <conv(x) - b, g> = <x, conv^T g> for the linear part of the conv.
+        x, w, b, out, cache, g = self.setup_case(2, stride, hw)
+        _, _, grad_x = conv2d_backward(g, w, cache)
+        assert grad_x.shape == x.shape
+        lhs = np.sum((out - b[:, None, None]) * g)
+        assert np.sum(x * grad_x) == pytest.approx(lhs, rel=1e-12)
+
+    @pytest.mark.parametrize("stride,hw", CASES, ids=IDS)
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_first_grad_channel_slices_input_grad(self, stride, hw, first):
+        _, w, _, _, cache, g = self.setup_case(3, stride, hw)
+        full = conv2d_backward(g, w, cache)
+        part = conv2d_backward(g, w, cache, first_grad_channel=first)
+        np.testing.assert_array_equal(part[0], full[0])
+        np.testing.assert_array_equal(part[1], full[1])
+        np.testing.assert_allclose(part[2], full[2][:, first:], rtol=0, atol=1e-13)
 
 
 class TestDenoiser:

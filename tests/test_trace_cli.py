@@ -166,6 +166,27 @@ class TestCliCommands:
         assert err.startswith("error: time_dim") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    def test_zero_steps_rejected_before_training(self, tmp_path, capsys):
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), "--steps", "0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: steps") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key,raw", [("steps", "abc"), ("steps", "1.5"), ("learning_rate", "fast")])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_non_numeric_value_rejected(self, tmp_path, capsys, key, raw, route):
+        if route == "flag":
+            argv = [f"--{key.replace('_', '-')}", raw]
+        else:
+            cfgfile = tmp_path / "c.cfg"
+            cfgfile.write_text(f"{key} = {raw}\n", encoding="utf-8")
+            argv = ["--config", str(cfgfile)]
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err and repr(raw) in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("bogus_key = 3\n", encoding="utf-8")
@@ -271,7 +292,7 @@ class TestCliEval:
         assert "csi_219,skipped" in want
         assert csv.read_text().splitlines() == want
 
-    @pytest.mark.parametrize("cut", ["bad_magic", "cut_header", "cut_payload", "bad_name"])
+    @pytest.mark.parametrize("cut", ["bad_magic", "cut_header", "cut_payload", "bad_name", "trailing"])
     def test_malformed_tensor_file_is_io_error(self, tmp_path, capsys, cut):
         pred_dir, truth_dir = self.make_dirs(tmp_path)
         path = pred_dir / "e1.bin"
@@ -279,10 +300,25 @@ class TestCliEval:
         path.write_bytes({"bad_magic": b"XXXX" + blob[4:],
                           "cut_header": blob[:10],
                           "cut_payload": blob[:-8],
-                          "bad_name": blob.replace(b"frames", b"\xfframes", 1)}[cut])
+                          "bad_name": blob.replace(b"frames", b"\xfframes", 1),
+                          "trailing": blob + b"garbage"}[cut])
         assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "e1.bin" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("side,bad", [("pred", np.nan), ("truth", np.inf), ("pred", -np.inf)])
+    def test_non_finite_frames_are_io_error(self, tmp_path, capsys, side, bad):
+        pred_dir, truth_dir = self.make_dirs(tmp_path)
+        path = {"pred": pred_dir, "truth": truth_dir}[side] / "e1.bin"
+        frames = np.random.default_rng(4).uniform(0, 1, size=(2, 16, 16))
+        frames[1, 3, 5] = bad
+        save_tensors(path, {"frames": frames})
+        csv = tmp_path / "m.csv"
+        assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir),
+                     "--out-csv", str(csv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "e1.bin" in err and err.count("\n") == 1
+        assert not csv.exists()
 
     def test_mismatched_files_listed(self, tmp_path, capsys):
         pred_dir, truth_dir = self.make_dirs(tmp_path)
