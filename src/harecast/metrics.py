@@ -54,20 +54,34 @@ def _field(x) -> np.ndarray:
     return np.asarray(frames, dtype=np.float64)
 
 
-def contingency(pred, truth, thr: float) -> ContingencyCounts:
-    """Pixel counts after binarizing both fields at thr on the 0-255 scale."""
-    p = _field(pred)
-    t = _field(truth)
+def _threshold_counts(p: np.ndarray, t: np.ndarray, thresholds) -> tuple:
+    """Hits, false alarms, misses and correct negatives per threshold and frame.
+
+    Returns four int arrays of shape (thresholds, frames).  A field of at
+    most two dimensions is one frame; otherwise the leading axis indexes
+    frames.  Both fields are binarized at every threshold in one pass.
+    """
     if p.shape != t.shape:
         raise ShapeError(f"pred shape {p.shape} != truth shape {t.shape}")
-    pb = p * 255.0 >= thr
-    tb = t * 255.0 >= thr
-    return ContingencyCounts(
-        hits=int(np.sum(pb & tb)),
-        false_alarms=int(np.sum(pb & ~tb)),
-        misses=int(np.sum(~pb & tb)),
-        correct_negatives=int(np.sum(~pb & ~tb)),
-    )
+    frames = p.shape[0] if p.ndim > 2 else 1
+    pixels = math.prod(p.shape[1:]) if p.ndim > 2 else p.size
+    thr = np.asarray(thresholds, dtype=np.float64).reshape(-1, 1, 1)
+    pb = p.reshape(frames, pixels) * 255.0 >= thr
+    tb = t.reshape(frames, pixels) * 255.0 >= thr
+    hits = np.count_nonzero(pb & tb, axis=-1)
+    predicted = np.count_nonzero(pb, axis=-1)
+    observed = np.count_nonzero(tb, axis=-1)
+    return hits, predicted - hits, observed - hits, pixels - predicted - observed + hits
+
+
+def _counts_at(counts: tuple, i: int) -> ContingencyCounts:
+    """The sequence-pooled table of threshold i from _threshold_counts output."""
+    return ContingencyCounts(*(int(c[i].sum()) for c in counts))
+
+
+def contingency(pred, truth, thr: float) -> ContingencyCounts:
+    """Pixel counts after binarizing both fields at thr on the 0-255 scale."""
+    return _counts_at(_threshold_counts(_field(pred), _field(truth), (thr,)), 0)
 
 
 def csi(cc: ContingencyCounts) -> float:
@@ -84,38 +98,35 @@ def csi_m(pred, truth, thresholds, per_frame: bool = False) -> float:
 
     Returns nan when every threshold is skipped.  per_frame averages the
     per-frame CSI (over frames where the threshold is active) instead of
-    pooling counts over the whole sequence.
+    pooling counts over the whole sequence; a 2-D field is one frame.
     """
+    hits, false_alarms, misses, _ = _threshold_counts(_field(pred), _field(truth), tuple(thresholds))
+    events = hits + false_alarms + misses
+    if not per_frame:
+        hits, events = hits.sum(axis=1, keepdims=True), events.sum(axis=1, keepdims=True)
     vals = []
-    for thr in thresholds:
-        if per_frame:
-            frames_p, frames_t = _field(pred), _field(truth)
-            per = [
-                csi(cc)
-                for fp, ft in zip(frames_p, frames_t)
-                if _threshold_active(cc := contingency(fp, ft, thr))
-            ]
-            if per:
-                vals.append(float(np.mean(per)))
-        else:
-            cc = contingency(pred, truth, thr)
-            if _threshold_active(cc):
-                vals.append(csi(cc))
+    for h, e in zip(hits, events):
+        active = e > 0
+        if active.any():
+            vals.append(float(np.mean(h[active] / e[active])))
     return float(np.mean(vals)) if vals else math.nan
 
 
 def _max_pool(frames: np.ndarray, pool: int) -> np.ndarray:
+    if pool < 1:
+        raise ConfigError(f"pool must be >= 1, got {pool}")
+    if pool == 1:
+        return frames
     h, w = frames.shape[-2:]
     if h % pool or w % pool:
         raise ShapeError(f"spatial dims {(h, w)} not divisible by pool {pool}")
-    shaped = frames.reshape(*frames.shape[:-2], h // pool, pool, w // pool, pool)
-    return shaped.max(axis=(-3, -1))
+    lead = frames.shape[:-2]
+    blocks = frames.reshape(*lead, h // pool, pool, w // pool, pool).swapaxes(-3, -2)
+    return blocks.reshape(*lead, h // pool, w // pool, pool * pool).max(axis=-1)
 
 
 def pooled_csi(pred, truth, thr: float, pool: int) -> float:
     """CSI after non-overlapping max-pooling of both fields."""
-    if pool < 1:
-        raise ConfigError(f"pool must be >= 1, got {pool}")
     return csi(contingency(_max_pool(_field(pred), pool), _max_pool(_field(truth), pool), thr))
 
 
@@ -126,10 +137,26 @@ def hss(cc: ContingencyCounts) -> float:
     return 2.0 * (a * d - b * c) / denom if denom else 0.0
 
 
+def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
+    """Mean of every valid window x window patch over the last two axes.
+
+    A separable box filter: shifted-slice sums along W, then along H.
+    """
+    h, w = x.shape[-2:]
+    cols = x[..., : w - window + 1].copy()
+    for k in range(1, window):
+        cols += x[..., k : k + w - window + 1]
+    out = cols[..., : h - window + 1, :].copy()
+    for k in range(1, window):
+        out += cols[..., k : k + h - window + 1, :]
+    return out / (window * window)
+
+
 def ssim(pred, truth, window: int = 7, k1: float = 0.01, k2: float = 0.03, dynamic_range: float = 1.0) -> float:
     """Mean local structural similarity over uniform sliding windows.
 
-    For stacks of frames the per-frame scores are averaged.
+    Windows are the valid window x window patches of each frame.  For
+    stacks of frames the per-frame scores are averaged.
     """
     p = _field(pred)
     t = _field(truth)
@@ -137,24 +164,21 @@ def ssim(pred, truth, window: int = 7, k1: float = 0.01, k2: float = 0.03, dynam
         raise ShapeError(f"pred shape {p.shape} != truth shape {t.shape}")
     if p.ndim == 2:
         p, t = p[None], t[None]
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     if window > min(p.shape[-2:]):
         raise ShapeError(f"window {window} larger than image {p.shape[-2:]}")
     c1 = (k1 * dynamic_range) ** 2
     c2 = (k2 * dynamic_range) ** 2
-    scores = []
-    for fp, ft in zip(p, t):
-        wp = np.lib.stride_tricks.sliding_window_view(fp, (window, window))
-        wt = np.lib.stride_tricks.sliding_window_view(ft, (window, window))
-        mu_p = wp.mean(axis=(-2, -1))
-        mu_t = wt.mean(axis=(-2, -1))
-        var_p = (wp**2).mean(axis=(-2, -1)) - mu_p**2
-        var_t = (wt**2).mean(axis=(-2, -1)) - mu_t**2
-        cov = (wp * wt).mean(axis=(-2, -1)) - mu_p * mu_t
-        s = ((2 * mu_p * mu_t + c1) * (2 * cov + c2)) / (
-            (mu_p**2 + mu_t**2 + c1) * (var_p + var_t + c2)
-        )
-        scores.append(float(s.mean()))
-    return float(np.mean(scores))
+    mu_p = _box_mean(p, window)
+    mu_t = _box_mean(t, window)
+    var_p = _box_mean(p * p, window) - mu_p**2
+    var_t = _box_mean(t * t, window) - mu_t**2
+    cov = _box_mean(p * t, window) - mu_p * mu_t
+    s = ((2 * mu_p * mu_t + c1) * (2 * cov + c2)) / (
+        (mu_p**2 + mu_t**2 + c1) * (var_p + var_t + c2)
+    )
+    return float(np.mean(s.mean(axis=(-2, -1))))
 
 
 @dataclass(frozen=True)
@@ -190,22 +214,28 @@ def paired_t_test(scores_a, scores_b) -> TTestResult:
 
 def evaluate_pair(pred, truth, thresholds, pools=(4, 16)) -> dict:
     """Standard metric bundle for one (prediction, truth) sequence pair."""
-    per_threshold = {}
-    hss_vals = []
-    pooled = {pool: [] for pool in pools}
-    for thr in thresholds:
-        cc = contingency(pred, truth, thr)
+    p, t = _field(pred), _field(truth)
+    thresholds = tuple(thresholds)
+    counts = _threshold_counts(p, t, thresholds)
+    active, per_threshold, hss_vals = [], {}, []
+    for i, thr in enumerate(thresholds):
+        cc = _counts_at(counts, i)
         if _threshold_active(cc):
+            active.append(thr)
             per_threshold[thr] = csi(cc)
             hss_vals.append(hss(cc))
-            for pool in pools:
-                pooled[pool].append(pooled_csi(pred, truth, thr, pool))
     out = {
         "csi_per_threshold": per_threshold,
         "csi_m": float(np.mean(list(per_threshold.values()))) if per_threshold else math.nan,
         "hss": float(np.mean(hss_vals)) if hss_vals else math.nan,
-        "ssim": ssim(pred, truth),
+        "ssim": ssim(p, t),
     }
     for pool in pools:
-        out[f"pooled_csi_{pool}"] = float(np.mean(pooled[pool])) if pooled[pool] else math.nan
+        # Pool each field once per size, then score the thresholds active at
+        # full resolution on the pooled fields.
+        pooled = []
+        if active:
+            pp, tp = _max_pool(p, pool), _max_pool(t, pool)
+            pooled = [pooled_csi(pp, tp, thr, 1) for thr in active]
+        out[f"pooled_csi_{pool}"] = float(np.mean(pooled)) if pooled else math.nan
     return out

@@ -82,6 +82,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if self.n_val < self.batch_size:
+            raise ConfigError(
+                f"n_val {self.n_val} < batch_size {self.batch_size}: "
+                "the held-out probe needs one full batch"
+            )
 
     def hare(self) -> HareConfig:
         return HareConfig(

@@ -10,6 +10,7 @@ cross-sample energy variance within each group.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,7 +52,13 @@ class TraceRecord:
         }
         if self.batch_csi_m is not None:
             obj["batch_csi_m"] = self.batch_csi_m
-        return json.dumps(obj, separators=(",", ":"))
+        try:
+            return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+        except ValueError as exc:
+            raise DataError(
+                f"trace record (step {self.step}, batch {self.batch_id}, layer {self.layer}, "
+                f"head {self.head}, sample {self.sample}) holds a non-finite value"
+            ) from exc
 
 
 def write_trace(path, records) -> None:
@@ -85,6 +92,8 @@ def read_trace(path) -> list[TraceRecord]:
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed trace record at line {lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in (rec.energy, rec.batch_csi_m) if v is not None):
+                raise DataError(f"{path}: non-finite value at line {lineno}")
             if rec.energy < 0:
                 raise DataError(f"{path}: negative energy at line {lineno}")
             key = (rec.run_id, rec.step, rec.batch_id, rec.layer, rec.head, rec.sample)

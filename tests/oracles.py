@@ -137,3 +137,43 @@ def naive_conv2d_param_grads(x, grad_out, stride):
                             for kx in range(3):
                                 grad_kernel[co, ci, ky, kx] += g * padded[b, ci, oy * stride + ky, ox * stride + kx]
     return grad_kernel, grad_bias
+
+
+def naive_contingency(pred, truth, thr):
+    """Per-frame (hits, false alarms, misses, correct negatives), pixel by pixel.
+
+    pred and truth are (frames, H, W); a pixel is an event when its value
+    times 255 is at or above thr.
+    """
+    tables = []
+    for frame_p, frame_t in zip(pred, truth):
+        hits = false_alarms = misses = correct_negatives = 0
+        for row_p, row_t in zip(frame_p, frame_t):
+            for vp, vt in zip(row_p, row_t):
+                event_p = float(vp) * 255.0 >= thr
+                event_t = float(vt) * 255.0 >= thr
+                if event_p and event_t:
+                    hits += 1
+                elif event_p:
+                    false_alarms += 1
+                elif event_t:
+                    misses += 1
+                else:
+                    correct_negatives += 1
+        tables.append((hits, false_alarms, misses, correct_negatives))
+    return tables
+
+
+def naive_max_pool(frames, pool):
+    """Non-overlapping pool x pool maximum of each (H, W) frame, cell by cell."""
+    n, h, w = frames.shape
+    out = np.zeros((n, h // pool, w // pool))
+    for k in range(n):
+        for i in range(h // pool):
+            for j in range(w // pool):
+                best = frames[k, i * pool, j * pool]
+                for di in range(pool):
+                    for dj in range(pool):
+                        best = max(best, frames[k, i * pool + di, j * pool + dj])
+                out[k, i, j] = best
+    return out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,7 +22,73 @@ from harecast.metrics import (
 from harecast.synthdata import BlobSpec, EventSpec, generate_event
 from harecast.tensor_core import SeededRng
 
-from oracles import ssim_direct
+from oracles import naive_contingency, naive_max_pool, ssim_direct
+
+
+def frame_stack(x):
+    return x[None] if x.ndim == 2 else x
+
+
+def summed(tables):
+    return tuple(sum(column) for column in zip(*tables))
+
+
+def oracle_csi(table):
+    hits, false_alarms, misses, _ = table
+    events = hits + false_alarms + misses
+    return hits / events if events else 0.0
+
+
+def oracle_csi_m(pred, truth, thresholds, per_frame=False):
+    pred, truth = frame_stack(pred), frame_stack(truth)
+    vals = []
+    for thr in thresholds:
+        tables = naive_contingency(pred, truth, thr)
+        if not per_frame:
+            tables = [summed(tables)]
+        per = [oracle_csi(table) for table in tables if sum(table[:3]) > 0]
+        if per:
+            vals.append(float(np.mean(per)))
+    return float(np.mean(vals)) if vals else math.nan
+
+
+def oracle_bundle(pred, truth, thresholds, pools=(4, 16)):
+    """evaluate_pair's bundle without ssim, from the loop oracles."""
+    pred, truth = frame_stack(pred), frame_stack(truth)
+    per_threshold, hss_vals = {}, []
+    pooled = {pool: [] for pool in pools}
+    for thr in thresholds:
+        a, b, c, d = summed(naive_contingency(pred, truth, thr))
+        if a + b + c == 0:
+            continue
+        per_threshold[thr] = a / (a + b + c)
+        denom = (a + c) * (c + d) + (a + b) * (b + d)
+        hss_vals.append(2.0 * (a * d - b * c) / denom if denom else 0.0)
+        for pool in pools:
+            tables = naive_contingency(naive_max_pool(pred, pool), naive_max_pool(truth, pool), thr)
+            pooled[pool].append(oracle_csi(summed(tables)))
+    out = {
+        "csi_per_threshold": per_threshold,
+        "csi_m": float(np.mean(list(per_threshold.values()))) if per_threshold else math.nan,
+        "hss": float(np.mean(hss_vals)) if hss_vals else math.nan,
+    }
+    for pool in pools:
+        out[f"pooled_csi_{pool}"] = float(np.mean(pooled[pool])) if pooled[pool] else math.nan
+    return out
+
+
+def oracle_fields(kind):
+    """Prediction/truth pairs whose thresholds are all, some or none active."""
+    rng = SeededRng(20)
+    if kind == "zeros":
+        return np.zeros((2, 16, 16)), np.zeros((2, 16, 16))
+    if kind == "single_frame":
+        return rng.uniform((16, 32)) ** 2, rng.uniform((16, 32)) ** 2
+    truth = rng.uniform((3, 16, 32)) ** 3
+    pred = np.clip(truth + 0.2 * rng.normal(truth.shape), 0.0, 1.0)
+    if kind == "faint":
+        return 0.3 * pred, 0.3 * truth
+    return pred, truth
 
 
 class TestContingency:
@@ -68,6 +135,13 @@ class TestCsi:
     def test_all_thresholds_empty_gives_nan(self):
         z = np.zeros((4, 4))
         assert math.isnan(csi_m(z, z, SEVIR_THRESHOLDS))
+
+    def test_per_frame_on_2d_field_is_one_frame(self):
+        p = SeededRng(15).uniform((32, 32))
+        t = SeededRng(16).uniform((32, 32))
+        one = csi_m(p, t, SEVIR_THRESHOLDS, per_frame=True)
+        assert one == csi_m(p[None], t[None], SEVIR_THRESHOLDS, per_frame=True)
+        assert one == csi_m(p, t, SEVIR_THRESHOLDS)
 
 
 class TestPooledCsi:
@@ -130,6 +204,21 @@ class TestSsim:
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ShapeError):
             ssim(np.zeros((4, 4)), np.zeros((4, 4)), window=7)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="window"):
+                ssim(np.zeros((4, 4)), np.zeros((4, 4)), window=window)
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    @pytest.mark.parametrize("shape", [(3, 9, 9), (2, 8, 13)])
+    def test_stack_is_mean_of_direct_frames(self, window, shape):
+        p = SeededRng(17).uniform(shape)
+        t = SeededRng(18).uniform(shape)
+        want = float(np.mean([ssim_direct(fp, ft, window=window) for fp, ft in zip(p, t)]))
+        assert ssim(p, t, window=window) == pytest.approx(want, abs=1e-12)
 
     def test_range_property(self):
         rng = SeededRng(9)
@@ -223,3 +312,33 @@ class TestSequenceLevel:
         out2 = evaluate_pair(pred, truth, METEONET_THRESHOLDS)
         assert 0.0 <= out2["csi_m"] <= 1.0
         assert out2["pooled_csi_4"] >= out2["csi_m"] - 1e-12
+
+
+class TestAgainstLoopOracles:
+    @pytest.mark.parametrize("kind", ["random", "faint", "zeros", "single_frame"])
+    @pytest.mark.parametrize("thresholds", [SEVIR_THRESHOLDS, METEONET_THRESHOLDS], ids=["sevir", "meteonet"])
+    def test_evaluate_pair_bundle_is_exact(self, kind, thresholds):
+        pred, truth = oracle_fields(kind)
+        got = evaluate_pair(pred, truth, thresholds)
+        got.pop("ssim")
+        assert repr(sorted(got.items())) == repr(sorted(oracle_bundle(pred, truth, thresholds).items()))
+
+    @pytest.mark.parametrize("kind", ["random", "faint", "zeros", "single_frame"])
+    @pytest.mark.parametrize("thresholds", [SEVIR_THRESHOLDS, METEONET_THRESHOLDS], ids=["sevir", "meteonet"])
+    @pytest.mark.parametrize("per_frame", [False, True])
+    def test_csi_m_is_exact(self, kind, thresholds, per_frame):
+        pred, truth = oracle_fields(kind)
+        got = csi_m(pred, truth, thresholds, per_frame=per_frame)
+        assert repr(got) == repr(oracle_csi_m(pred, truth, thresholds, per_frame=per_frame))
+
+    def test_contingency_and_pooling(self):
+        pred, truth = oracle_fields("random")
+        for thr in SEVIR_THRESHOLDS:
+            cc = contingency(pred, truth, thr)
+            assert (cc.hits, cc.false_alarms, cc.misses, cc.correct_negatives) == summed(
+                naive_contingency(pred, truth, thr)
+            )
+            for pool in (1, 4, 16):
+                want = oracle_csi(summed(naive_contingency(
+                    naive_max_pool(pred, pool), naive_max_pool(truth, pool), thr)))
+                assert pooled_csi(pred, truth, thr, pool) == want

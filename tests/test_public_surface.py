@@ -9,9 +9,11 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import harecast
+from harecast import metrics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +48,19 @@ def test_benchmark_instrumentation_targets_exist(monkeypatch):
     tracer = ResolvingTracer()
     workloads.instrument(tracer, stage_of={})
     assert tracer.patched
+
+
+def test_evaluate_pair_reaches_traced_metrics_by_attribute(monkeypatch):
+    """The traced benchmark's metrics.ssim and metrics.pooled_csi spans stay populated."""
+    calls = {"ssim": 0, "pooled_csi": 0}
+    for name in calls:
+        original = getattr(metrics, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, counting)
+    field = np.linspace(0.0, 1.0, 2 * 16 * 16).reshape(2, 16, 16)
+    metrics.evaluate_pair(field, field[::-1].copy(), metrics.SEVIR_THRESHOLDS)
+    assert calls["ssim"] >= 1 and calls["pooled_csi"] >= 1

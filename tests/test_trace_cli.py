@@ -4,6 +4,7 @@ import pytest
 from harecast.cli import main
 from harecast.errors import ConfigError, DataError
 from harecast.metrics import SEVIR_THRESHOLDS, evaluate_pair
+from harecast.nowcast import training
 from harecast.synthdata import save_tensors
 from harecast.trace import TraceRecord, analyze_trace, read_trace, write_trace
 
@@ -55,6 +56,27 @@ class TestTraceIO:
         got = read_trace(p)
         assert got[0].batch_csi_m == 0.5
         assert got[1].batch_csi_m is None
+
+    @pytest.mark.parametrize("key,raw", [
+        ("energy", "NaN"), ("energy", "Infinity"), ("energy", "1e999"),
+        ("batch_csi_m", "NaN"), ("batch_csi_m", "-Infinity"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, key, raw):
+        p = tmp_path / "nf.jsonl"
+        values = {"energy": "1.0", "batch_csi_m": "0.5", key: raw}
+        line = ('{"run_id":"r","step":0,"batch_id":0,"layer":0,"head":0,"sample":1,'
+                f'"energy":{values["energy"]},"batch_csi_m":{values["batch_csi_m"]}}}')
+        p.write_text(rec(csi=0.5).to_line() + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="non-finite value at line 2"):
+            read_trace(p)
+        assert main(["analyze", "--input", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["energy", "csi"])
+    def test_non_finite_value_not_written(self, field):
+        with pytest.raises(DataError, match="non-finite"):
+            rec(**{field: float("nan")}).to_line()
 
 
 class TestAnalyze:
@@ -170,6 +192,15 @@ class TestCliCommands:
         assert self.run("train-toy", "--out", str(tmp_path / "x"), "--steps", "0") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: steps") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_n_val_below_batch_size_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "objective", lambda *args, **kw: calls.append(1))
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), "--n-val", "4") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_val") and err.count("\n") == 1
+        assert not calls
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key,raw", [("steps", "abc"), ("steps", "1.5"), ("learning_rate", "fast")])
