@@ -78,11 +78,6 @@ class AttentionParams:
             bo=np.zeros(d),
         )
 
-    @classmethod
-    def zeros(cls, cfg: AttentionConfig) -> "AttentionParams":
-        d = cfg.model_dim
-        return cls(*(np.zeros((d, d)) for _ in range(4)), *(np.zeros(d) for _ in range(4)))
-
     def items(self):
         for f in fields(self):
             yield f.name, getattr(self, f.name)

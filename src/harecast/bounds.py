@@ -215,8 +215,7 @@ def matched_variance_targets(x_samples, rng: SeededRng) -> np.ndarray:
     """
     x = np.asarray(x_samples, dtype=np.float64)
     n, d = x.shape
-    qmat, r = np.linalg.qr(rng.normal((d, d)))
-    qmat = qmat * np.sign(np.diag(r))
+    qmat = _orthogonal(rng, d)
     perm = rng.permutation(n)
     mean = x.mean(axis=0)
     return mean + (x[perm] - mean) @ qmat.T

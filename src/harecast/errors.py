@@ -27,3 +27,7 @@ class DegenerateInputError(HarecastError):
 
 class DataError(HarecastError):
     """An input file is malformed or internally inconsistent."""
+
+
+class DivergenceError(HarecastError):
+    """Training produced a non-finite loss or gradient."""

@@ -153,25 +153,21 @@ def _robust_micro_instance(cfg, seed: int):
         idx = rng.integers(0, cfg.n_train, size=cfg.batch_size)
         batch = {k: v[idx] for k, v in data.items()}
         draws = FrozenDraws(
-            t=np.asarray(rng.integers(1, 1001, size=cfg.batch_size)),
+            t=np.asarray(rng.integers(1, model.sched.steps + 1, size=cfg.batch_size)),
             eps=rng.normal(batch["y_future"].shape),
         )
         res = objective(model, batch, draws, cfg, hare_enabled=True)
         safe = True
-        for eb, group in zip(res.energies, res.partitions):
+        for block in res.blocks:
+            eb, ge = block.energy, block.group
             hm = np.sort(eb.head_means)
             if hm[-1] - hm[-2] < 1e-3:
                 safe = False
             if np.min(np.abs(eb.head_means - cfg.alpha * eb.mean_energy)) < 1e-3:
                 safe = False
-        if res.energies:
-            from .hare import group_energies
-
-            for eb, part in zip(res.energies, res.partitions):
-                ge = group_energies(eb, part)
-                dev = ge.values - ge.values.mean(axis=0)
-                if np.min(np.abs(dev[:, ge.present])) < 1e-4:
-                    safe = False
+            dev = ge.values - ge.values.mean(axis=0)
+            if np.min(np.abs(dev[:, ge.present])) < 1e-4:
+                safe = False
         if safe:
             return model, batch, draws, res
     raise RuntimeError("no kink-safe micro instance found")

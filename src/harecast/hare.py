@@ -92,13 +92,12 @@ class HeadPartition:
 class GroupEnergies:
     """Per-sample mean energy per group; empty groups are flagged absent.
 
-    values: (B, 3) in GROUP_NAMES order; rows of absent groups are 0 but
-    must never be read (present[g] is False and the loss skips them).
+    values: (B, G) in group order; columns of absent groups are 0 but must
+    never be read (present[g] is False and the loss skips them).
     """
 
     values: np.ndarray
     present: np.ndarray
-    sizes: np.ndarray
 
 
 def compute_energies(acts: HeadActivations) -> EnergyBatch:
@@ -127,21 +126,18 @@ def partition_heads(eb: EnergyBatch, alpha: float) -> HeadPartition:
     return HeadPartition(strong=(strong,), contextual=contextual, weak=weak)
 
 
-def group_energies(eb: EnergyBatch, part: HeadPartition) -> GroupEnergies:
-    """Per-sample mean energy of each group; empty groups flagged absent."""
-    nheads = eb.energies.shape[1]
-    bsz = eb.energies.shape[0]
-    values = np.zeros((bsz, len(part.groups)))
-    present = np.zeros(len(part.groups), dtype=bool)
-    sizes = np.zeros(len(part.groups), dtype=np.int64)
-    for g, members in enumerate(part.groups):
+def group_energies(eb: EnergyBatch, groups: tuple[tuple[int, ...], ...]) -> GroupEnergies:
+    """Per-sample mean energy of each group of head indices; empty groups flagged absent."""
+    bsz, nheads = eb.energies.shape
+    values = np.zeros((bsz, len(groups)))
+    present = np.zeros(len(groups), dtype=bool)
+    for g, members in enumerate(groups):
         if any(m < 0 or m >= nheads for m in members):
-            raise ShapeError(f"group {GROUP_NAMES[g]} references invalid heads {members}")
-        sizes[g] = len(members)
+            raise ShapeError(f"group {g} references invalid heads {members}")
         if members:
             present[g] = True
             values[:, g] = eb.energies[:, list(members)].mean(axis=1)
-    return GroupEnergies(values=values, present=present, sizes=sizes)
+    return GroupEnergies(values=values, present=present)
 
 
 def hare_loss(ge: GroupEnergies, mask: np.ndarray, cfg: HareConfig):
@@ -149,7 +145,7 @@ def hare_loss(ge: GroupEnergies, mask: np.ndarray, cfg: HareConfig):
 
     loss = (1/B) sum_i mask_i sum_g relu(e_i^g - mu_g) with mu_g the mean
     of e^g over the FULL batch (the mask never biases the target).  Returns
-    (loss, grad wrt the group energies, shape (B, 3)).  With
+    (loss, grad wrt the group energies, shape (B, G)).  With
     detach_target the target is a constant in the gradient; otherwise the
     gradient includes the -1/B flow through every sample's contribution to
     mu_g.  Absent groups contribute nothing.
@@ -179,16 +175,14 @@ def hare_loss(ge: GroupEnergies, mask: np.ndarray, cfg: HareConfig):
     return loss, grad
 
 
-def hare_grad_to_O(grad_ge: np.ndarray, part: HeadPartition, acts: HeadActivations) -> np.ndarray:
+def hare_grad_to_O(
+    grad_ge: np.ndarray, groups: tuple[tuple[int, ...], ...], acts: HeadActivations
+) -> np.ndarray:
     """Chain the group-energy gradient back to the head responses.
 
     dL/dO_{i,m} = grad_ge[i, g(m)] * (1/|H^g|) * 2 O_{i,m} for the unique
     group g(m) containing head m.
     """
-    return _grad_to_o(grad_ge, part.groups, acts)
-
-
-def _grad_to_o(grad_ge, groups, acts) -> np.ndarray:
     o = acts.o
     if grad_ge.shape != (o.shape[0], len(groups)):
         raise ShapeError(
@@ -227,34 +221,33 @@ def difficulty_mask(per_sample_loss: np.ndarray, fraction: float) -> np.ndarray:
 
 @dataclass
 class BlockHareResult:
-    """Stabilization outcome of one attention block."""
+    """Stabilization outcome of one attention block.
+
+    groups maps each group name to its head indices, in the column order
+    of group.values: strong/contextual/weak, or one "shared" group of all
+    heads when grouping is off.
+    """
 
     loss: float
     grad_o: np.ndarray
     energy: EnergyBatch
-    partition: HeadPartition | None = None
-    group: GroupEnergies | None = None
+    groups: dict[str, tuple[int, ...]]
+    group: GroupEnergies
 
 
 def block_stabilization(acts: HeadActivations, mask: np.ndarray, cfg: HareConfig) -> BlockHareResult:
-    """Full per-block pipeline: energies -> partition -> group loss -> dL/dO.
+    """Full per-block pipeline: energies -> groups -> group loss -> dL/dO.
 
     With grouping disabled, all heads form a single group with one shared
     target (the no-grouping ablation).
     """
     eb = compute_energies(acts)
     if cfg.grouping:
-        part = partition_heads(eb, cfg.alpha)
-        ge = group_energies(eb, part)
-        loss, grad_ge = hare_loss(ge, mask, cfg)
-        grad_o = _grad_to_o(grad_ge, part.groups, acts)
-        return BlockHareResult(loss=loss, grad_o=grad_o, energy=eb, partition=part, group=ge)
-    all_heads = tuple(range(eb.energies.shape[1]))
-    ge = GroupEnergies(
-        values=eb.energies.mean(axis=1, keepdims=True),
-        present=np.array([True]),
-        sizes=np.array([len(all_heads)]),
-    )
+        groups = dict(zip(GROUP_NAMES, partition_heads(eb, cfg.alpha).groups))
+    else:
+        groups = {"shared": tuple(range(eb.energies.shape[1]))}
+    members = tuple(groups.values())
+    ge = group_energies(eb, members)
     loss, grad_ge = hare_loss(ge, mask, cfg)
-    grad_o = _grad_to_o(grad_ge, (all_heads,), acts)
-    return BlockHareResult(loss=loss, grad_o=grad_o, energy=eb, partition=None, group=ge)
+    grad_o = hare_grad_to_O(grad_ge, members, acts)
+    return BlockHareResult(loss=loss, grad_o=grad_o, energy=eb, groups=groups, group=ge)

@@ -62,6 +62,8 @@ class DenoiserConfig:
     time_dim: int = 8
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ConfigError(f"denoiser heads must be >= 1, got {self.heads}")
         if self.bottleneck % self.heads:
             raise ConfigError("bottleneck channels must divide across heads")
         # The sinusoidal embedding has 2 * (time_dim // 2) columns.

@@ -35,6 +35,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.mode not in ("unimodal", "multimodal"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.patch < 1:
+            raise ConfigError(f"patch must be >= 1, got {self.patch}")
         if self.height % self.patch or self.width % self.patch:
             raise ConfigError(
                 f"spatial dims {(self.height, self.width)} not divisible by patch {self.patch}"

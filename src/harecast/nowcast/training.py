@@ -10,11 +10,12 @@ decoders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DivergenceError
 from ..hare import HareConfig, block_stabilization, compute_energies, cross_sample_variance, difficulty_mask
 from ..metrics import SEVIR_THRESHOLDS, csi_m
 from ..synthdata import generate_event, make_split
@@ -87,6 +88,22 @@ class TrainConfig:
                 f"n_val {self.n_val} < batch_size {self.batch_size}: "
                 "the held-out probe needs one full batch"
             )
+        if not 1 <= self.sample_steps <= self.diffusion_steps:
+            raise ConfigError(f"sample_steps must be in [1, diffusion_steps], got {self.sample_steps}")
+        if self.probe_batches < 1:
+            raise ConfigError(f"probe_batches must be >= 1, got {self.probe_batches}")
+        for key in ("lambda_recon", "lambda_hare", "lambda_diff"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.lambda_hare > 0.0 and self.batch_size < 2:
+            raise ConfigError("lambda_hare > 0 needs batch size >= 2")
+        # The derived configurations validate the model sizes and loss knobs.
+        self.hare()
+        self.encoder()
+        self.denoiser()
 
     def hare(self) -> HareConfig:
         return HareConfig(
@@ -132,10 +149,6 @@ def build_model(cfg: TrainConfig) -> Model:
     )
 
 
-def build_grads(params: dict) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in params.items()}
-
-
 @dataclass
 class StepResult:
     total: float
@@ -143,8 +156,7 @@ class StepResult:
     hare: float
     diff: float
     grads: dict | None
-    energies: list = field(default_factory=list)  # EnergyBatch per layer
-    partitions: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)  # BlockHareResult per encoder layer
 
 
 @dataclass
@@ -166,7 +178,7 @@ def objective(
     """Forward (and optionally backward) pass of the full training loss."""
     if hare_enabled and batch["y_future"].shape[0] < 2:
         raise ConfigError("energy stabilization needs batch size >= 2")
-    grads = build_grads(model.params) if compute_grads else None
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()} if compute_grads else None
     enc_cfg, den_cfg = model.enc_cfg, model.den_cfg
     x_sat = batch.get("x_sat")
 
@@ -185,20 +197,17 @@ def objective(
 
     l_hare = 0.0
     grad_o_extra = None
-    energies, partitions = [], []
+    blocks = []
     if hare_enabled:
         hcfg = cfg.hare()
         if hcfg.mask_strategy == "top_fraction_by_sample_loss":
             mask = difficulty_mask(per_sample_diff, hcfg.mask_fraction)
         else:
             mask = np.ones(batch["y_future"].shape[0])
-        grad_o_extra = []
-        for acts in enc_cache.acts:
-            res = block_stabilization(acts, mask, hcfg)
-            l_hare += res.loss / enc_cfg.layers
-            grad_o_extra.append(cfg.lambda_hare * res.grad_o / enc_cfg.layers)
-            energies.append(res.energy)
-            partitions.append(res.partition)
+        blocks = [block_stabilization(acts, mask, hcfg) for acts in enc_cache.acts]
+        for block in blocks:
+            l_hare += block.loss / enc_cfg.layers
+        grad_o_extra = [cfg.lambda_hare * block.grad_o / enc_cfg.layers for block in blocks]
 
     if grads is not None:
         grad_f_diff = conditioning_backward(
@@ -218,8 +227,7 @@ def objective(
 
     total = cfg.lambda_recon * l_recon + cfg.lambda_hare * l_hare + cfg.lambda_diff * l_diff
     return StepResult(
-        total=total, recon=l_recon, hare=l_hare, diff=l_diff, grads=grads,
-        energies=energies, partitions=partitions,
+        total=total, recon=l_recon, hare=l_hare, diff=l_diff, grads=grads, blocks=blocks,
     )
 
 
@@ -239,10 +247,6 @@ def render_dataset(specs, cfg: TrainConfig):
     if cfg.mode == "multimodal":
         out["x_sat"] = np.stack(sat)
     return out
-
-
-def _take(data: dict, idx) -> dict:
-    return {k: v[idx] for k, v in data.items()}
 
 
 @dataclass
@@ -276,12 +280,12 @@ def train(cfg: TrainConfig, hare_enabled: bool | None = None) -> TrainResult:
 
     hare_enabled=False reproduces a build without the stabilization module;
     by default the module is active exactly when lambda_hare > 0, and a
-    zero weight takes the identical code path as the disabled build.
+    zero weight takes the identical code path as the disabled build.  A
+    non-finite loss or gradient raises DivergenceError before its update,
+    as do non-finite energies in the held-out probe.
     """
     if hare_enabled is None:
         hare_enabled = cfg.lambda_hare > 0.0
-    if cfg.lambda_hare > 0.0 and cfg.batch_size < 2:
-        raise ConfigError("lambda_hare > 0 needs batch size >= 2")
     model = build_model(cfg)
     train_specs, val_specs, _ = make_split(
         cfg.seed + 10_000, cfg.n_train, cfg.n_val, cfg.n_test, cfg.height, cfg.width
@@ -292,32 +296,27 @@ def train(cfg: TrainConfig, hare_enabled: bool | None = None) -> TrainResult:
     losses, trace, partitions = [], [], []
     for step in range(cfg.steps):
         idx = rng.integers(0, cfg.n_train, size=cfg.batch_size)
-        batch = _take(data, idx)
+        batch = {k: v[idx] for k, v in data.items()}
         draws = FrozenDraws(
             t=np.asarray(rng.integers(1, model.sched.steps + 1, size=cfg.batch_size)),
             eps=rng.normal(batch["y_future"].shape),
         )
         res = objective(model, batch, draws, cfg, hare_enabled)
+        if not (math.isfinite(res.total) and all(np.all(np.isfinite(g)) for g in res.grads.values())):
+            raise DivergenceError(f"training diverged at step {step}: non-finite loss or gradient")
         for name in sorted(model.params):
             model.params[name] -= cfg.learning_rate * res.grads[name]
         losses.append(
             {"step": step, "recon": res.recon, "hare": res.hare, "diff": res.diff, "total": res.total}
         )
-        if hare_enabled and cfg.trace_every and step % cfg.trace_every == 0:
-            trace.extend(_energy_trace(cfg.run_id, step, step, res.energies))
-            for layer, part in enumerate(res.partitions):
-                row = {"step": step, "layer": layer}
-                if part is None:
-                    row["shared"] = list(range(cfg.heads))
-                else:
-                    row.update(
-                        strong=list(part.strong),
-                        contextual=list(part.contextual),
-                        weak=list(part.weak),
-                    )
-                partitions.append(row)
+        if cfg.trace_every and step % cfg.trace_every == 0:
+            trace.extend(_energy_trace(cfg.run_id, step, step, [block.energy for block in res.blocks]))
+            for layer, block in enumerate(res.blocks):
+                partitions.append({"step": step, "layer": layer, **block.groups})
 
     probe_trace, probe_summary = probe_model(model, cfg, val_specs)
+    if not math.isfinite(probe_summary["normalized_energy_variance"]):
+        raise DivergenceError("training diverged: non-finite energies in the held-out probe")
     return TrainResult(
         model=model, losses=losses, trace=trace,
         probe_trace=probe_trace, probe_summary=probe_summary,

@@ -8,6 +8,8 @@ observation source with imperfect consistency.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -184,6 +186,7 @@ def load_tensors(path) -> dict:
     """Inverse of save_tensors; a malformed or truncated file raises DataError."""
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != _MAGIC:
             raise DataError(f"{path} is not a tensor container")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
@@ -196,8 +199,14 @@ def load_tensors(path) -> dict:
                 raise DataError(f"{path}: entry name is not UTF-8") from exc
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, path))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 8 * n, path), dtype="<f8").reshape(shape)
+            # Python ints: a header shape cannot wrap the byte count.
+            nbytes = 8 * math.prod(shape)
+            if nbytes > size - fh.tell():
+                raise DataError(
+                    f"{path}: truncated tensor container (entry {name!r} of shape "
+                    f"{shape} needs {nbytes} bytes, {size - fh.tell()} left)"
+                )
+            data = np.frombuffer(_read_exact(fh, nbytes, path), dtype="<f8").reshape(shape)
             out[name] = np.array(data, dtype=np.float64)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after the last entry")

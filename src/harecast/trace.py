@@ -73,12 +73,12 @@ def read_trace(path) -> list[TraceRecord]:
     path = Path(path)
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 rec = TraceRecord(
                     run_id=str(obj["run_id"]),
@@ -90,12 +90,12 @@ def read_trace(path) -> list[TraceRecord]:
                     energy=float(obj["energy"]),
                     batch_csi_m=float(obj["batch_csi_m"]) if "batch_csi_m" in obj else None,
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: malformed trace record at line {lineno}: {exc}") from exc
             if not all(math.isfinite(v) for v in (rec.energy, rec.batch_csi_m) if v is not None):
                 raise DataError(f"{path}: non-finite value at line {lineno}")
-            if rec.energy < 0:
-                raise DataError(f"{path}: negative energy at line {lineno}")
+            if min(rec.energy, rec.step, rec.batch_id, rec.layer, rec.head, rec.sample) < 0:
+                raise DataError(f"{path}: negative energy or index at line {lineno}")
             key = (rec.run_id, rec.step, rec.batch_id, rec.layer, rec.head, rec.sample)
             if key in seen:
                 raise DataError(f"{path}: duplicate record key at line {lineno}: {key}")

@@ -108,7 +108,7 @@ class TestGroupEnergies:
         eb = energy_batch([[5.0, 1.0, 3.0, 2.0]] * 2)
         part = partition_heads(eb, 0.75)
         # bar_e = 2.75; weak = {1, 2.0625? no: heads below 2.0625} -> {1, 2}.
-        ge = group_energies(eb, part)
+        ge = group_energies(eb, part.groups)
         assert part.strong == (0,)
         idx = GROUP_NAMES.index("strong")
         assert ge.values[0, idx] == 5.0
@@ -118,21 +118,20 @@ class TestGroupEnergies:
         from harecast.hare import HeadPartition
 
         part = HeadPartition(strong=(0,), contextual=(2,), weak=(1, 3))
-        ge = group_energies(eb, part)
+        ge = group_energies(eb, part.groups)
         assert ge.values[0, 1] == 3.0  # singleton contextual
         assert ge.values[0, 2] == 1.5  # mean of heads 1 and 3
 
     def test_singleton_strong_is_exact(self):
         eb = energy_batch([[4.0, 1.0], [7.0, 1.0]])
-        ge = group_energies(eb, partition_heads(eb, 0.75))
+        ge = group_energies(eb, partition_heads(eb, 0.75).groups)
         np.testing.assert_array_equal(ge.values[:, 0], eb.energies[:, 0])
 
     def test_empty_group_is_absent_not_zero(self):
         eb = energy_batch([[3.0, 3.0, 3.0]] * 2)
-        ge = group_energies(eb, partition_heads(eb, 0.75))
+        ge = group_energies(eb, partition_heads(eb, 0.75).groups)
         weak_idx = GROUP_NAMES.index("weak")
         assert not ge.present[weak_idx]
-        assert ge.sizes[weak_idx] == 0
 
 
 class TestHareLoss:
@@ -141,7 +140,6 @@ class TestHareLoss:
         return GroupEnergies(
             values=values,
             present=np.ones(values.shape[1], dtype=bool) if present is None else present,
-            sizes=np.ones(values.shape[1], dtype=np.int64),
         )
 
     def test_hand_evaluated_example(self):
@@ -172,7 +170,6 @@ class TestHareLoss:
         ge = GroupEnergies(
             values=np.array([[2.0, 99.0], [4.0, 99.0]]),
             present=np.array([True, False]),
-            sizes=np.array([1, 0]),
         )
         loss, grad = hare_loss(ge, np.ones(2), HareConfig())
         assert loss == pytest.approx(0.5)
@@ -234,11 +231,11 @@ class TestHareLoss:
         cfg = HareConfig()
         eb = energy_batch(e)
         part = partition_heads(eb, cfg.alpha)
-        ge = group_energies(eb, part)
+        ge = group_energies(eb, part.groups)
         loss, _ = hare_loss(ge, np.ones(5), cfg)
         eb_p = energy_batch(e[:, perm])
         part_p = partition_heads(eb_p, cfg.alpha)
-        ge_p = group_energies(eb_p, part_p)
+        ge_p = group_energies(eb_p, part_p.groups)
         loss_p, _ = hare_loss(ge_p, np.ones(5), cfg)
         assert loss == pytest.approx(loss_p, rel=1e-12)
 
@@ -262,7 +259,7 @@ class TestGradToO:
         acts = acts_from_av(np.full((2, 2, 3, 3), 1 / 3), SeededRng(0).normal((2, 2, 3, 2)))
         eb = compute_energies(acts)
         part = partition_heads(eb, 0.75)
-        grad_o = hare_grad_to_O(np.zeros((2, 3)), part, acts)
+        grad_o = hare_grad_to_O(np.zeros((2, 3)), part.groups, acts)
         assert np.all(grad_o == 0.0)
 
     def test_inactive_sample_gets_zero(self):
@@ -280,7 +277,7 @@ class TestGradToO:
         acts = HeadActivations(a=np.full((2, 4, 2, 2), 0.5), v=o.copy(), o=o)
         part = HeadPartition(strong=(0,), contextual=(1, 2), weak=(3,))
         grad_ge = np.ones((2, 3))
-        grad_o = hare_grad_to_O(grad_ge, part, acts)
+        grad_o = hare_grad_to_O(grad_ge, part.groups, acts)
         np.testing.assert_allclose(grad_o[:, 0], 2.0 * o[:, 0])
         np.testing.assert_allclose(grad_o[:, 1], 1.0 * o[:, 1])  # 1/|ctx| = 1/2
         np.testing.assert_allclose(grad_o[:, 3], 2.0 * o[:, 3])
@@ -330,13 +327,13 @@ class TestEndToEndGradient:
         hcfg = HareConfig(detach_target=True)
         _, cache0 = mha_forward(x, cfg, params)
         res0 = block_stabilization(cache0.acts, np.ones(x.shape[0]), hcfg)
-        part0 = res0.partition
+        groups0 = tuple(res0.groups.values())
         mu0 = res0.group.values.mean(axis=0)
 
         def frozen_loss():
             _, cache = mha_forward(x, cfg, params)
             eb = compute_energies(cache.acts)
-            ge = group_energies(eb, part0)
+            ge = group_energies(eb, groups0)
             dev = np.maximum(ge.values - mu0, 0.0)
             dev[:, ~ge.present] = 0.0
             return float(dev.sum() / x.shape[0])
@@ -386,7 +383,7 @@ class TestNoGroupingMode:
     def test_single_shared_target(self):
         acts = acts_from_av(np.full((3, 2, 2, 2), 0.5), SeededRng(6).normal((3, 2, 2, 2)))
         res = block_stabilization(acts, np.ones(3), HareConfig(grouping=False))
-        assert res.partition is None
+        assert res.groups == {"shared": (0, 1)}
         assert res.group.values.shape == (3, 1)
         per_sample = compute_energies(acts).energies.mean(axis=1)
         mu = per_sample.mean()

@@ -5,8 +5,10 @@ benchmark wraps (perfbench/workloads.py `instrument`) must still exist, so
 a deletion that would break an import or the traced run fails here first.
 """
 
+import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,8 @@ import pytest
 
 import harecast
 from harecast import metrics
+from harecast.cli import main
+from harecast.nowcast.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,3 +68,13 @@ def test_evaluate_pair_reaches_traced_metrics_by_attribute(monkeypatch):
     field = np.linspace(0.0, 1.0, 2 * 16 * 16).reshape(2, 16, 16)
     metrics.evaluate_pair(field, field[::-1].copy(), metrics.SEVIR_THRESHOLDS)
     assert calls["ssim"] >= 1 and calls["pooled_csi"] >= 1
+
+
+def test_train_toy_flags_are_the_config_fields(capsys):
+    """One --key flag per TrainConfig field, plus --config and --out: no duplicate knobs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train-toy", "--help"])
+    assert exc.value.code == 0
+    offered = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
+    assert offered == fields | {"--config", "--out"}

@@ -1,6 +1,18 @@
+import contextlib
+import dataclasses
+import io
+import json
+import math
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from harecast import cli
 from harecast.cli import main
 from harecast.errors import ConfigError, DataError
 from harecast.metrics import SEVIR_THRESHOLDS, evaluate_pair
@@ -28,6 +40,14 @@ def small_trace():
                             energy=float(rng.uniform(0, 4)), csi=csi)
                     )
     return records
+
+
+# The micro train-toy arguments of acceptance criterion 10.
+MICRO = ["--steps", "3", "--n-train", "4", "--n-val", "2", "--n-test", "2",
+         "--batch-size", "2", "--probe-batches", "1", "--trace-every", "1",
+         "--height", "16", "--width", "16", "--frames-in", "2", "--frames-out", "2",
+         "--patch", "8", "--dim", "8", "--layers", "1", "--heads", "2",
+         "--den-base", "4", "--den-mid", "6", "--den-bottleneck", "8"]
 
 
 class TestTraceIO:
@@ -173,10 +193,8 @@ class TestCliCommands:
             assert self.run("train-toy", "--out", str(tmp_path / tag), *args) == 0
         for name in ("model.bin", "trace.jsonl", "probe_trace.jsonl", "losses.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
-        # zero-weight run matches the module-disabled build bitwise
+        # the zero-weight ablation; criterion 7 checks it bitwise against the disabled build
         assert self.run("train-toy", "--out", str(tmp_path / "zero"), "--lambda-hare", "0", *args) == 0
-        assert self.run("train-toy", "--out", str(tmp_path / "off"), "--hare-disabled", *args) == 0
-        assert (tmp_path / "zero" / "model.bin").read_bytes() == (tmp_path / "off" / "model.bin").read_bytes()
 
     def test_invalid_alpha_rejected(self, tmp_path, capsys):
         assert self.run("train-toy", "--out", str(tmp_path / "x"), "--alpha", "1.5") == 2
@@ -202,6 +220,37 @@ class TestCliCommands:
         assert err.startswith("error: n_val") and err.count("\n") == 1
         assert not calls
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag,raw,names", [
+        ("--sample-steps", "0", "sample_steps"),
+        ("--sample-steps", "1001", "sample_steps"),
+        ("--probe-batches", "0", "probe_batches"),
+        ("--lambda-hare", "nan", "lambda_hare"),
+        ("--lambda-recon", "-1", "lambda_recon"),
+        ("--lambda-diff", "inf", "lambda_diff"),
+        ("--learning-rate", "0", "learning_rate"),
+        ("--learning-rate", "-0.1", "learning_rate"),
+        ("--learning-rate", "nan", "learning_rate"),
+        ("--learning-rate", "inf", "learning_rate"),
+        ("--patch", "0", "patch"),
+        ("--den-heads", "0", "heads"),
+    ])
+    def test_invalid_value_rejected_before_training(self, tmp_path, capsys, monkeypatch, flag, raw, names):
+        calls = []
+        monkeypatch.setattr(training, "objective", lambda *args, **kw: calls.append(1))
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), f"{flag}={raw}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err and err.count("\n") == 1
+        assert not calls
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("learning_rate,where", [("1e6", "at step 2"), ("1e3", "held-out probe")])
+    def test_diverged_run_exits_2_and_writes_nothing(self, tmp_path, capsys, learning_rate, where):
+        out = tmp_path / "x"
+        assert self.run("train-toy", "--out", str(out), *MICRO, "--learning-rate", learning_rate) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged") and where in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,raw", [("steps", "abc"), ("steps", "1.5"), ("learning_rate", "fast")])
     @pytest.mark.parametrize("route", ["flag", "config"])
@@ -323,7 +372,8 @@ class TestCliEval:
         assert "csi_219,skipped" in want
         assert csv.read_text().splitlines() == want
 
-    @pytest.mark.parametrize("cut", ["bad_magic", "cut_header", "cut_payload", "bad_name", "trailing"])
+    @pytest.mark.parametrize("cut", ["bad_magic", "cut_header", "cut_payload", "bad_name", "trailing",
+                                     "overflow"])
     def test_malformed_tensor_file_is_io_error(self, tmp_path, capsys, cut):
         pred_dir, truth_dir = self.make_dirs(tmp_path)
         path = pred_dir / "e1.bin"
@@ -332,7 +382,9 @@ class TestCliEval:
                           "cut_header": blob[:10],
                           "cut_payload": blob[:-8],
                           "bad_name": blob.replace(b"frames", b"\xfframes", 1),
-                          "trailing": blob + b"garbage"}[cut])
+                          "trailing": blob + b"garbage",
+                          # shape (2**31, 2**31, 4) wraps an int64 element count to 0
+                          "overflow": tensor_file((2**31, 2**31, 4), blob[29:])}[cut])
         assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "e1.bin" in err and err.count("\n") == 1
@@ -351,8 +403,117 @@ class TestCliEval:
         assert err.startswith("error: ") and "e1.bin" in err and err.count("\n") == 1
         assert not csv.exists()
 
+    def test_frame_sizes_differ_across_files(self, tmp_path, capsys):
+        pred_dir, truth_dir = self.make_dirs(tmp_path)
+        for d in (pred_dir, truth_dir):
+            save_tensors(d / "e1.bin", {"frames": np.full((2, 8, 8), 0.5)})
+        assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame sizes differ") and err.count("\n") == 1
+
     def test_mismatched_files_listed(self, tmp_path, capsys):
         pred_dir, truth_dir = self.make_dirs(tmp_path)
         (pred_dir / "extra.bin").write_bytes((pred_dir / "e0.bin").read_bytes())
         assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]) == 2
         assert "extra.bin" in capsys.readouterr().err
+
+
+class FuzzSentinel(Exception):
+    """Raised in place of training once a fuzzed config is accepted."""
+
+
+TRAIN_DEFAULTS = {f.name: str(f.default) for f in dataclasses.fields(training.TrainConfig)}
+FUZZ_VALUE = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e-300", "", "abc", "1,5", "0x10", "true", "-", "é"]),
+)
+TRACE_KEYS = ["run_id", "step", "batch_id", "layer", "head", "sample", "energy", "batch_csi_m"]
+
+
+def tensor_file(shape, payload=b""):
+    """A one-entry tensor container whose header claims `shape`."""
+    return (b"HCT1" + struct.pack("<IH", 1, 6) + b"frames" + struct.pack("<B", len(shape))
+            + struct.pack(f"<{len(shape)}I", *shape) + payload)
+
+
+def trace_lines(*rows):
+    return "\n".join(json.dumps(row) for row in rows).encode()
+
+
+def run_captured(argv):
+    """(exit code or the sentinel, stderr) of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except FuzzSentinel:
+            code = FuzzSentinel
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2, 3, FuzzSentinel), code
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+class TestCliFuzz:
+    """Random configs and input files end in a documented exit code and one stderr line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        # every key fuzzed, or defaults with a few keys fuzzed
+        st.fixed_dictionaries({key: st.one_of(st.just(default), FUZZ_VALUE)
+                               for key, default in TRAIN_DEFAULTS.items()}),
+        st.dictionaries(st.sampled_from(sorted(TRAIN_DEFAULTS)), FUZZ_VALUE, max_size=3).map(
+            lambda fuzzed: {**TRAIN_DEFAULTS, **fuzzed}),
+    ))
+    @example({**TRAIN_DEFAULTS, "patch": "0"})
+    @example({**TRAIN_DEFAULTS, "den_heads": "0"})
+    def test_train_toy_config(self, values):
+        def sentinel(*args, **kwargs):
+            raise FuzzSentinel
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "train", sentinel)
+            out = Path(tmp) / "out"
+            argv = ["train-toy", "--out", str(out)]
+            argv += [f"--{key.replace('_', '-')}={raw}" for key, raw in values.items()]
+            code, err = run_captured(argv)
+            assert_clean_exit(code, err)
+            assert not out.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda b: b"HCT1" + b),
+        st.tuples(st.lists(st.integers(0, 4), max_size=4), st.binary(max_size=8 * 64)).map(
+            lambda t: tensor_file(*t)),
+    ))
+    @example(tensor_file((), bytes(8)))
+    @example(tensor_file((2**31, 2**31, 4)))
+    def test_eval_tensor_file(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            pred_dir, truth_dir = Path(tmp) / "pred", Path(tmp) / "truth"
+            pred_dir.mkdir()
+            truth_dir.mkdir()
+            (pred_dir / "a.bin").write_bytes(blob)
+            save_tensors(truth_dir / "a.bin", {"frames": np.full((2, 4, 4), 0.5)})
+            assert_clean_exit(*run_captured(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.dictionaries(
+            st.sampled_from(TRACE_KEYS),
+            st.one_of(st.integers(-2, 3), st.floats(), st.text(max_size=3), st.none(), st.booleans()),
+        ), max_size=8).map(lambda rows: trace_lines(*rows)),
+    ))
+    @example(b"\x80")
+    @example(trace_lines(*(dict(zip(TRACE_KEYS, ["r", 0, 0, -1, 0, s, 1.0, 0.5])) for s in (0, 1))))
+    @example(trace_lines(dict(zip(TRACE_KEYS, ["r", math.inf, 0, 0, 0, 0, 1.0]))))
+    def test_analyze_trace_file(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            path.write_bytes(blob)
+            assert_clean_exit(*run_captured(["analyze", "--input", str(path), "--split-by-csi"]))
