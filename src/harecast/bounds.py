@@ -85,14 +85,35 @@ def draw_samples(spec: DistributionSpec) -> np.ndarray:
     return block(spec.scale * rng.normal((spec.n, spec.dim)))
 
 
-def total_variance(samples) -> float:
-    """Population total variance: mean squared deviation from the mean."""
+def _sq_norms(dev: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis, bitwise equal to np.sum(dev * dev, axis=-1).
+
+    NumPy adds fewer than 8 terms left to right, so short rows are summed
+    column by column in that order, without the reduction's per-row cost.
+    """
+    d = dev.shape[-1]
+    if d >= 8:
+        return np.sum(dev * dev, axis=-1)
+    out = dev[..., 0] * dev[..., 0]
+    for k in range(1, d):
+        out += dev[..., k] * dev[..., k]
+    return out
+
+
+def _centred(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, mean, sq): samples flattened to rows, their mean row, and the
+    squared norm of each row's deviation from it."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.shape[0] < 2:
         raise ConfigError("total_variance needs at least 2 samples")
-    flat = arr.reshape(arr.shape[0], -1)
-    dev = flat - flat.mean(axis=0)
-    return float(np.mean(np.sum(dev * dev, axis=1)))
+    rows = arr.reshape(arr.shape[0], -1)
+    mean = rows.mean(axis=0)
+    return rows, mean, _sq_norms(rows - mean)
+
+
+def total_variance(samples) -> float:
+    """Population total variance: mean squared deviation from the mean."""
+    return float(np.mean(_centred(samples)[2]))
 
 
 def linear_map(matrix) -> "callable":
@@ -177,11 +198,11 @@ def check_lemma1(head: LinearHead, f_samples) -> BoundReport:
     f = np.asarray(f_samples, dtype=np.float64)
     yhat = f @ head.w.T + head.b
     c_g = sigma_min(head.w)
-    var_f = total_variance(f)
-    var_yhat = total_variance(yhat)
-    dev_y = yhat - yhat.mean(axis=0)
-    dev_f = f - f.mean(axis=0)
-    se = _margin_se(np.sum(dev_y * dev_y, axis=1), c_g**2 * np.sum(dev_f * dev_f, axis=1))
+    sq_f = _centred(f)[2]
+    sq_yhat = _centred(yhat)[2]
+    var_f = float(np.mean(sq_f))
+    var_yhat = float(np.mean(sq_yhat))
+    se = _margin_se(sq_yhat, c_g**2 * sq_f)
     return _report(
         "head_variance_propagation", var_yhat, c_g**2 * var_f, 3.0 * se,
         {"c_G": c_g, "var_f": var_f, "var_yhat": var_yhat},
@@ -251,9 +272,11 @@ def check_theorem1(
     yhat = f @ head.w.T + head.b
 
     var_x = total_variance(x)
-    var_y = total_variance(y)
+    y_rows, y_mean, sq_y = _centred(y)
+    var_y = float(np.mean(sq_y))
     var_f = total_variance(f)
-    var_yhat = total_variance(yhat)
+    yhat_rows, yhat_mean, sq_yhat = _centred(yhat)
+    var_yhat = float(np.mean(sq_yhat))
     if var_x == 0.0:
         raise DegenerateInputError("input samples have zero variance")
     c_f = float(np.sqrt(var_f / var_x))
@@ -272,10 +295,8 @@ def check_theorem1(
             ),
         )
 
-    mse = float(np.mean(np.sum((y.reshape(len(y), -1) - yhat.reshape(len(yhat), -1)) ** 2, axis=1)))
-    bias_sq = float(
-        np.sum((yhat.reshape(len(yhat), -1).mean(axis=0) - y.reshape(len(y), -1).mean(axis=0)) ** 2)
-    )
+    mse = float(np.mean(_sq_norms(y_rows - yhat_rows)))
+    bias_sq = float(np.sum((yhat_mean - y_mean) ** 2))
     consts = {
         "c_F": c_f, "c_G": c_g, "bias_sq": bias_sq,
         "var_x": var_x, "var_f": var_f, "var_y": var_y, "var_yhat": var_yhat,
@@ -336,6 +357,37 @@ def _random_head(rng: SeededRng, d: int, smin: float, smax: float) -> LinearHead
     return LinearHead(w=w, b=b)
 
 
+# Trials per block of the error-bound sweep: a (block, 32, 16) array is
+# 1 MiB, so one block's temporaries stay in cache.
+_SWEEP_BLOCK = 256
+
+
+def _sweep_statistics(y, coupling, noise, offset):
+    """Per-trial (mse, bias_sq, var_y, var_yhat) of y against
+    yhat = coupling * y + noise + offset, all (trials, draws, dim) after
+    broadcasting.
+
+    yhat is formed and reduced one block of trials at a time and is never
+    held whole.  Each trial reduces its own rows with the same operations
+    whatever the block, so the values do not depend on _SWEEP_BLOCK.
+    """
+    trials = y.shape[0]
+    mse, bias_sq, vy, vyh = (np.empty(trials) for _ in range(4))
+    for start in range(0, trials, _SWEEP_BLOCK):
+        sl = slice(start, start + _SWEEP_BLOCK)
+        yb = y[sl]
+        yhb = coupling[sl] * yb
+        yhb += noise[sl]
+        yhb += offset[sl]
+        y_mean = yb.mean(axis=1, keepdims=True)
+        yh_mean = yhb.mean(axis=1, keepdims=True)
+        mse[sl] = np.mean(_sq_norms(yb - yhb), axis=1)
+        bias_sq[sl] = _sq_norms(yh_mean[:, 0] - y_mean[:, 0])
+        vy[sl] = np.mean(_sq_norms(yb - y_mean), axis=1)
+        vyh[sl] = np.mean(_sq_norms(yhb - yh_mean), axis=1)
+    return mse, bias_sq, vy, vyh
+
+
 def run_verification_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> SuiteReport:
     """Lemma and theorem sweeps; rhs_scale is a fault-injection hook.
 
@@ -355,19 +407,20 @@ def run_verification_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> Su
             return scaled
         return rep
 
-    # Error-bound sweep: vectorized over trials per dimension.
+    # Error-bound sweep: all trials of a dimension are drawn at once, then
+    # reduced block by block of trials (see _sweep_statistics).
     per_draw = 32
     for dim in (1, 4, 16):
         rng = SeededRng(seed, stream=dim)
-        y = rng.normal((trials, per_draw, dim)) * (0.5 + rng.uniform((trials, 1, 1)))
+        y = rng.normal((trials, per_draw, dim))
+        y *= 0.5 + rng.uniform((trials, 1, 1))
         coupling = rng.uniform((trials, 1, 1)) * 2.0 - 1.0
         noise = rng.normal((trials, per_draw, dim))
-        yhat = coupling * y + noise * rng.uniform((trials, 1, 1)) + rng.normal((trials, 1, dim))
-        mse = np.mean(np.sum((y - yhat) ** 2, axis=2), axis=1)
-        mu_gap = yhat.mean(axis=1) - y.mean(axis=1)
-        bias_sq = np.sum(mu_gap**2, axis=1)
-        vy = np.mean(np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=2), axis=1)
-        vyh = np.mean(np.sum((yhat - yhat.mean(axis=1, keepdims=True)) ** 2, axis=2), axis=1)
+        noise *= rng.uniform((trials, 1, 1))
+        offset = rng.normal((trials, 1, dim))
+        mse, bias_sq, vy, vyh = _sweep_statistics(y, coupling, noise, offset)
+        # Free this dimension's draws before the next, larger ones.
+        del y, noise
         rhs = (bias_sq + (np.sqrt(vyh) - np.sqrt(vy)) ** 2) * rhs_scale
         margins = mse - rhs
         eps = EXACT_EPS * np.maximum(1.0, np.abs(mse))

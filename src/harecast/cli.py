@@ -235,6 +235,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     perturb = None
     if args.perturb_param:
         perturb = (args.perturb_param, args.perturb_eps)

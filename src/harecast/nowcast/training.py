@@ -42,6 +42,14 @@ from .model import (
 )
 
 
+# Counts and sizes that must be >= 1; __post_init__ names the offending key.
+_SIZE_KEYS = (
+    "height", "width", "frames_in", "frames_out", "patch", "dim", "layers", "heads",
+    "den_base", "den_mid", "den_bottleneck", "den_heads", "time_dim", "cond_dim",
+    "diffusion_steps", "batch_size", "steps", "n_train", "n_val", "n_test", "probe_batches",
+)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
@@ -81,8 +89,12 @@ class TrainConfig:
     run_id: str = "toy"
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        for key in _SIZE_KEYS:
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
+        if self.trace_every < 0:
+            raise ConfigError(f"trace_every must be >= 0 (0 turns tracing off), got {self.trace_every}")
         if self.n_val < self.batch_size:
             raise ConfigError(
                 f"n_val {self.n_val} < batch_size {self.batch_size}: "
@@ -90,8 +102,6 @@ class TrainConfig:
             )
         if not 1 <= self.sample_steps <= self.diffusion_steps:
             raise ConfigError(f"sample_steps must be in [1, diffusion_steps], got {self.sample_steps}")
-        if self.probe_batches < 1:
-            raise ConfigError(f"probe_batches must be >= 1, got {self.probe_batches}")
         for key in ("lambda_recon", "lambda_hare", "lambda_diff"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0.0):

@@ -77,16 +77,28 @@ class SeededRng:
         return self._gen.random(dims, dtype=np.float64)
 
     def normal(self, shape) -> np.ndarray:
-        """Standard normal draws via Box-Muller over the uniform stream."""
+        """Standard normal draws via Box-Muller over the uniform stream.
+
+        The first pairs values are r cos(theta), the rest r sin(theta).  The
+        transform runs in place in the (2, pairs) uniform buffer, which
+        becomes the output; cos(theta) is the one temporary.
+        """
         dims = _check_shape(shape)
         n = int(np.prod(dims))
         pairs = (n + 1) // 2
         u = self._gen.random((2, pairs), dtype=np.float64)
-        # u1 in (0, 1] so log() is finite.
-        r = np.sqrt(-2.0 * np.log(1.0 - u[0]))
-        theta = 2.0 * math.pi * u[1]
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return z[:n].reshape(dims)
+        r, theta = u
+        # 1 - u is in (0, 1], so log() is finite.
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        np.multiply(-2.0, r, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(2.0 * math.pi, theta, out=theta)
+        cos_theta = np.cos(theta)
+        np.sin(theta, out=theta)
+        theta *= r
+        r *= cos_theta
+        return u.reshape(-1)[:n].reshape(dims)
 
     def integers(self, low: int, high: int, size: int | None = None):
         """Uniform integers in [low, high)."""

@@ -2,6 +2,13 @@
 
 Everything here is deliberately written as plain loops against the
 textbook formulas, sharing no code with the library paths it checks.
+
+The bitwise references at the end are the other kind of oracle: the plain
+out-of-place, unblocked array expressions that the bound suite and the
+normal draws were first written as.  The library computes the same
+operations in a faster order of passes, so tests require bit-equal results,
+and a NumPy release that changes a reduction's summation order fails a
+named test instead of silently changing the verification report.
 """
 
 from __future__ import annotations
@@ -9,6 +16,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from harecast.attention import sigma_min
+from harecast.bounds import EXACT_EPS, BoundReport, TheoremResult
 
 
 def naive_mha(x, wq, wk, wv, wo, bq, bk, bv, bo, heads):
@@ -177,3 +187,122 @@ def naive_max_pool(frames, pool):
                         best = max(best, frames[k, i * pool + di, j * pool + dj])
                 out[k, i, j] = best
     return out
+
+
+# ---------------------------------------------------------------------------
+# Bitwise references for the bound suite and its normal draws.
+# ---------------------------------------------------------------------------
+
+
+def box_muller_normal(uniform, shape):
+    """Out-of-place Box-Muller over uniform((2, pairs)) draws.
+
+    uniform is a callable returning [0, 1) draws of a given shape, such as
+    SeededRng.uniform, so the reference consumes the same stream.
+    """
+    n = int(np.prod(shape))
+    pairs = (n + 1) // 2
+    u = uniform((2, pairs))
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0]))
+    theta = 2.0 * math.pi * u[1]
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+    return z[:n].reshape(shape)
+
+
+def sweep_statistics(y, yhat):
+    """Per-trial (mse, bias_sq, var_y, var_yhat) over all trials in one pass."""
+    mse = np.mean(np.sum((y - yhat) ** 2, axis=2), axis=1)
+    mu_gap = yhat.mean(axis=1) - y.mean(axis=1)
+    bias_sq = np.sum(mu_gap**2, axis=1)
+    vy = np.mean(np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=2), axis=1)
+    vyh = np.mean(np.sum((yhat - yhat.mean(axis=1, keepdims=True)) ** 2, axis=2), axis=1)
+    return mse, bias_sq, vy, vyh
+
+
+def moment_total_variance(samples) -> float:
+    """Population total variance: np.sum of squared deviations per row, then the mean."""
+    arr = np.asarray(samples, dtype=np.float64)
+    flat = arr.reshape(arr.shape[0], -1)
+    dev = flat - flat.mean(axis=0)
+    return float(np.mean(np.sum(dev * dev, axis=1)))
+
+
+def _block_mean_se(lhs_terms, rhs_terms, blocks=10):
+    n = lhs_terms.shape[0]
+    if n < blocks:
+        blocks = max(2, n)
+    edges = np.linspace(0, n, blocks + 1, dtype=int)
+    vals = [
+        float(np.mean(lhs_terms[edges[b]:edges[b + 1]]) - np.mean(rhs_terms[edges[b]:edges[b + 1]]))
+        for b in range(blocks)
+    ]
+    return float(np.std(vals, ddof=1) / np.sqrt(blocks))
+
+
+def _bound_report(name, lhs, rhs, eps, constants):
+    margin = lhs - rhs
+    return BoundReport(
+        name=name, lhs=float(lhs), rhs=float(rhs), margin=float(margin),
+        holds=bool(margin >= -eps), eps_num=float(eps), constants=constants,
+    )
+
+
+def reference_check_lemma1(head, f_samples):
+    """check_lemma1 with every variance and block term formed from scratch."""
+    f = np.asarray(f_samples, dtype=np.float64)
+    yhat = f @ head.w.T + head.b
+    c_g = sigma_min(head.w)
+    var_f = moment_total_variance(f)
+    var_yhat = moment_total_variance(yhat)
+    dev_y = yhat - yhat.mean(axis=0)
+    dev_f = f - f.mean(axis=0)
+    se = _block_mean_se(np.sum(dev_y * dev_y, axis=1), c_g**2 * np.sum(dev_f * dev_f, axis=1))
+    return _bound_report(
+        "head_variance_propagation", var_yhat, c_g**2 * var_f, 3.0 * se,
+        {"c_G": c_g, "var_f": var_f, "var_yhat": var_yhat},
+    )
+
+
+def reference_check_theorem1(x_samples, response_map, head, y_samples,
+                             var_tol=1e-9, check_reduced_forms=False):
+    """check_theorem1 reshaping and centring each array for every moment."""
+    x = np.asarray(x_samples, dtype=np.float64)
+    y = np.asarray(y_samples, dtype=np.float64)
+    f = response_map(x)
+    yhat = f @ head.w.T + head.b
+    var_x = moment_total_variance(x)
+    var_y = moment_total_variance(y)
+    var_f = moment_total_variance(f)
+    var_yhat = moment_total_variance(yhat)
+    c_f = float(np.sqrt(var_f / var_x))
+    c_g = sigma_min(head.w)
+    if c_g * c_f <= 1.0:
+        return TheoremResult(refused=True, refusal_reason=f"requires c_G*c_F > 1, got {c_g * c_f!r}")
+    if abs(var_y - var_x) > var_tol * max(var_x, 1e-300):
+        return TheoremResult(
+            refused=True,
+            refusal_reason=f"requires Var(Y) == Var(X), got Var(Y)={var_y!r} Var(X)={var_x!r}",
+        )
+    mse = float(np.mean(np.sum((y.reshape(len(y), -1) - yhat.reshape(len(yhat), -1)) ** 2, axis=1)))
+    bias_sq = float(
+        np.sum((yhat.reshape(len(yhat), -1).mean(axis=0) - y.reshape(len(y), -1).mean(axis=0)) ** 2)
+    )
+    consts = {
+        "c_F": c_f, "c_G": c_g, "bias_sq": bias_sq,
+        "var_x": var_x, "var_f": var_f, "var_y": var_y, "var_yhat": var_yhat,
+    }
+    eps = EXACT_EPS * max(1.0, mse)
+    reports = [
+        _bound_report("mse_vs_response_sd_gap", mse,
+                      bias_sq + (c_g * np.sqrt(var_f) - np.sqrt(var_y)) ** 2, eps, consts),
+        _bound_report("mse_vs_response_variance", mse,
+                      bias_sq + (c_g - 1.0 / c_f) ** 2 * var_f, eps, consts),
+        _bound_report("mse_vs_target_variance", mse,
+                      bias_sq + (c_g * c_f - 1.0) ** 2 * var_y, eps, consts),
+    ]
+    if check_reduced_forms:
+        reports.append(_bound_report("reduced_response_variance", mse,
+                                     (c_g - 1.0 / c_f) ** 2 * var_f, eps, consts))
+        reports.append(_bound_report("reduced_input_variance", mse,
+                                     (c_g * c_f - 1.0) ** 2 * var_x, eps, consts))
+    return TheoremResult(refused=False, refusal_reason=None, reports=reports)

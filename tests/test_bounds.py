@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from harecast import bounds
 from harecast.attention import LinearHead
 from harecast.bounds import (
     DistributionSpec,
@@ -19,7 +22,25 @@ from harecast.bounds import (
 from harecast.errors import ConfigError, DegenerateInputError
 from harecast.tensor_core import SeededRng
 
-from oracles import two_pass_total_variance
+from oracles import (
+    box_muller_normal,
+    moment_total_variance,
+    reference_check_lemma1,
+    reference_check_theorem1,
+    sweep_statistics,
+    two_pass_total_variance,
+)
+
+BITWISE_DIMS = (1, 2, 3, 4, 5, 6, 7, 16)
+
+
+def assert_bitwise(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def assert_same_reports(got, want):
+    # repr round-trips every float exactly, so equal reprs mean equal bits
+    assert repr([dataclasses.asdict(r) for r in got]) == repr([dataclasses.asdict(r) for r in want])
 
 
 class TestTotalVariance:
@@ -40,6 +61,61 @@ class TestTotalVariance:
     def test_matches_two_pass_oracle(self):
         x = SeededRng(8).normal((500, 4)) * 2.0 + 1.0
         assert total_variance(x) == pytest.approx(two_pass_total_variance(list(x)), rel=1e-12)
+
+
+class TestBitwiseReferences:
+    """The rewritten moment paths against their one-pass references, bit for bit."""
+
+    @pytest.mark.parametrize("dim", BITWISE_DIMS)
+    def test_total_variance(self, dim):
+        rng = SeededRng(31, stream=dim)
+        x = rng.normal((3_001, dim)) * (1.0 + 100.0 * rng.uniform((1, dim))) + 5.0
+        assert_bitwise(total_variance(x), moment_total_variance(x))
+
+    def test_total_variance_flattens_trailing_axes(self):
+        x = SeededRng(32).normal((500, 2, 3)) * 3.0 - 1.0
+        assert_bitwise(total_variance(x), moment_total_variance(x))
+
+    @pytest.mark.parametrize("dim", BITWISE_DIMS)
+    def test_check_lemma1(self, dim):
+        rng = SeededRng(33, stream=dim)
+        f = draw_samples(DistributionSpec(kind="mixture", dim=dim, n=4_003, seed=34 + dim))
+        head = LinearHead(w=rng.normal((dim, dim)), b=rng.normal((dim,)))
+        assert_same_reports([check_lemma1(head, f)], [reference_check_lemma1(head, f)])
+
+    @pytest.mark.parametrize("dim", BITWISE_DIMS)
+    def test_check_theorem1(self, dim):
+        rng = SeededRng(35, stream=dim)
+        x = draw_samples(DistributionSpec(kind="gaussian", dim=dim, n=3_001, seed=36 + dim))
+        fmap = linear_map(np.diag(1.3 + rng.uniform((dim,))))
+        head = LinearHead(w=np.eye(dim), b=rng.normal((dim,)))
+        y = matched_variance_targets(x, rng.spawn(1))
+        got = check_theorem1(x, fmap, head, y, check_reduced_forms=True)
+        want = reference_check_theorem1(x, fmap, head, y, check_reduced_forms=True)
+        assert not got.refused and not want.refused
+        assert_same_reports(got.reports, want.reports)
+
+    def test_check_theorem1_refusal_text(self):
+        x = SeededRng(37).normal((2_000, 3))
+        for fmap, y in ((linear_map(0.5 * np.eye(3)), x), (linear_map(2.0 * np.eye(3)), 1.5 * x)):
+            got = check_theorem1(x, fmap, LinearHead.from_matrix(np.eye(3)), y)
+            want = reference_check_theorem1(x, fmap, LinearHead.from_matrix(np.eye(3)), y)
+            assert got.refused and got.refusal_reason == want.refusal_reason
+
+    @pytest.mark.parametrize("dim", (1, 4, 16))
+    def test_sweep_statistics(self, dim):
+        # a trial count that leaves a partial last block
+        trials = 2 * bounds._SWEEP_BLOCK + 37
+        rng = SeededRng(38, stream=dim)
+        y = rng.normal((trials, 32, dim)) * (0.5 + rng.uniform((trials, 1, 1)))
+        coupling = rng.uniform((trials, 1, 1)) * 2.0 - 1.0
+        noise = rng.normal((trials, 32, dim)) * rng.uniform((trials, 1, 1))
+        offset = rng.normal((trials, 1, dim))
+        yhat = coupling * y + noise + offset
+        fast = bounds._sweep_statistics(y, coupling, noise, offset)
+        for got, want in zip(fast, sweep_statistics(y, yhat), strict=True):
+            assert got.shape == (trials,)
+            assert_bitwise(got, want)
 
 
 class TestEstimateCf:
@@ -191,6 +267,19 @@ class TestSuite:
         b = run_verification_suite(trials=300, seed=7)
         assert a.ok
         assert render_report(a) == render_report(b)
+
+    def test_report_equals_reference_suite(self, monkeypatch):
+        fast = [render_report(run_verification_suite(trials=300, seed=s)) for s in (3, 8)]
+        monkeypatch.setattr(SeededRng, "normal", lambda rng, shape: box_muller_normal(rng.uniform, shape))
+        monkeypatch.setattr(
+            bounds, "_sweep_statistics",
+            lambda y, coupling, noise, offset: sweep_statistics(y, coupling * y + noise + offset),
+        )
+        monkeypatch.setattr(bounds, "check_lemma1", reference_check_lemma1)
+        monkeypatch.setattr(bounds, "check_theorem1", reference_check_theorem1)
+        reference = [render_report(run_verification_suite(trials=300, seed=s)) for s in (3, 8)]
+        assert fast[0] != fast[1]
+        assert fast == reference
 
     def test_fault_injection_trips(self):
         bad = run_verification_suite(trials=50, seed=7, rhs_scale=1.1)

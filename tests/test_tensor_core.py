@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from harecast.errors import ShapeError
 from harecast.tensor_core import SeededRng, softmax_rows
 
+from oracles import box_muller_normal
+
 
 class TestSoftmaxRows:
     def test_symmetric(self):
@@ -67,3 +69,18 @@ class TestSeededRng:
     def test_odd_count_normals(self):
         z = SeededRng(4).normal((3, 3))
         assert z.shape == (3, 3) and np.all(np.isfinite(z))
+
+    @pytest.mark.parametrize("shapes", [
+        [(1,), (2,), (7,), (1_000_000, 1)],
+        [(10_001, 3), (10_000, 6)],
+        [(10_000, 32, 1), (3, 5, 7)],
+        [(8, 20, 32, 32), (2_000, 32, 16)],
+    ])
+    def test_normal_bitwise_equals_out_of_place_box_muller(self, shapes):
+        # successive draws from one stream, odd and even counts, 1-D to 4-D
+        fast, ref = SeededRng(11, stream=3), SeededRng(11, stream=3)
+        for shape in shapes:
+            got = fast.normal(shape)
+            want = box_muller_normal(ref.uniform, shape)
+            assert got.shape == want.shape == shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -234,6 +234,12 @@ class TestCliCommands:
         ("--learning-rate", "inf", "learning_rate"),
         ("--patch", "0", "patch"),
         ("--den-heads", "0", "heads"),
+        ("--height", "0", "height"),
+        ("--height", "-16", "height"),
+        ("--frames-out", "0", "frames_out"),
+        ("--den-base", "0", "den_base"),
+        ("--cond-dim", "0", "cond_dim"),
+        ("--trace-every", "-1", "trace_every"),
     ])
     def test_invalid_value_rejected_before_training(self, tmp_path, capsys, monkeypatch, flag, raw, names):
         calls = []
@@ -296,6 +302,13 @@ class TestCliCommands:
                         "--perturb-param", "wk", "--perturb-eps", "1e-3") == 1
         out = capsys.readouterr().out
         assert "wk[" in out  # failure names the parameter
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_gradcheck_without_objective_seeds_rejected(self, capsys, seeds):
+        assert self.run("gradcheck", "--seeds", seeds) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --seeds") and captured.err.count("\n") == 1
+        assert "verdict" not in captured.out
 
 
 class TestCliEval:
