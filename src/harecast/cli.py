@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .attention import AttentionParams
 from .bounds import render_report, run_verification_suite
 from .errors import ConfigError, DataError, HarecastError, ShapeError
 from .gradcheck import run_gradcheck_suite
@@ -238,7 +239,12 @@ def cmd_gradcheck(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     perturb = None
-    if args.perturb_param:
+    if args.perturb_param is not None:
+        names = [f.name for f in dataclasses.fields(AttentionParams)]
+        if args.perturb_param not in names:
+            raise ConfigError(
+                f"--perturb-param must be one of {', '.join(names)}, got {args.perturb_param!r}"
+            )
         perturb = (args.perturb_param, args.perturb_eps)
     ok, rows = run_gradcheck_suite(args.seed, seeds=args.seeds, perturb=perturb)
     for kind, seed, rep in rows:

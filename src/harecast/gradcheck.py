@@ -122,7 +122,7 @@ def attention_gradcheck(seed: int, perturb: tuple[str, float] | None = None) -> 
     _, cache = mha_forward(x, cfg, params)
     grads, _ = mha_backward(cfg, params, cache, wy, wo)
     analytic = dict(grads.items())
-    if perturb is not None and perturb[0] in analytic:
+    if perturb is not None:
         analytic[perturb[0]] = analytic[perturb[0]] + perturb[1]
     return check_gradients(loss, dict(params.items()), analytic, SeededRng(seed + 7))
 
@@ -142,20 +142,14 @@ def micro_train_config(seed: int, lambdas=(1.0, 1.0, 5.0)):
 
 def _robust_micro_instance(cfg, seed: int):
     """Batch + frozen draws whose stabilization margins avoid ReLU kinks."""
-    from .nowcast.training import FrozenDraws, build_model, objective, render_dataset
+    from .nowcast.training import build_model, draw_batch, objective, render_dataset
     from .synthdata import make_split
 
     model = build_model(cfg)
     specs, _, _ = make_split(cfg.seed, cfg.n_train, cfg.n_val, cfg.n_test, cfg.height, cfg.width)
     data = render_dataset(specs, cfg)
     for offset in range(40):
-        rng = SeededRng(seed + 9000 + offset, stream=17)
-        idx = rng.integers(0, cfg.n_train, size=cfg.batch_size)
-        batch = {k: v[idx] for k, v in data.items()}
-        draws = FrozenDraws(
-            t=np.asarray(rng.integers(1, model.sched.steps + 1, size=cfg.batch_size)),
-            eps=rng.normal(batch["y_future"].shape),
-        )
+        batch, draws = draw_batch(model, data, cfg, SeededRng(seed + 9000 + offset, stream=17))
         res = objective(model, batch, draws, cfg, hare_enabled=True)
         safe = True
         for block in res.blocks:

@@ -3,19 +3,21 @@
 Future frames ride as channels of a single image; the stabilized latent
 conditions the denoiser through broadcast-and-concatenated channels.
 Pixels are diffused in [-1, 1] and mapped back to [0, 1] after sampling.
-The denoiser is a small U-shaped conv net (two stride-2 downsamples, one
-attention block at the bottleneck, symmetric nearest-neighbour upsampling)
-with a sinusoidal time embedding added per stage, and carries an exact
-hand-derived backward pass.
+The denoiser is a small U-shaped conv net with an exact hand-derived
+backward pass.  DENOISER_STAGES describes it once: parameter init, forward,
+backward and the input-size rule (SIZE_MULTIPLE, the product of the
+strides) all read that table.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..attention import AttentionConfig, mha_backward, mha_forward
+from ..attention import AttentionConfig, AttentionParams, mha_backward, mha_forward
 from ..errors import ConfigError, ShapeError
 from ..tensor_core import SeededRng
 from .convnet import (
@@ -79,29 +81,34 @@ class DenoiserConfig:
         return AttentionConfig(model_dim=self.bottleneck, heads=self.heads)
 
 
-def init_denoiser_params(cfg: DenoiserConfig, rng: SeededRng) -> dict:
-    p = {
-        "den.in.w": conv_init(rng.spawn(1), cfg.base, cfg.in_channels),
-        "den.in.b": np.zeros(cfg.base),
-        "den.t1.w": rng.spawn(2).normal((cfg.time_dim, cfg.base)) / np.sqrt(cfg.time_dim),
-        "den.t1.b": np.zeros(cfg.base),
-        "den.d1.w": conv_init(rng.spawn(3), cfg.mid, cfg.base),
-        "den.d1.b": np.zeros(cfg.mid),
-        "den.t2.w": rng.spawn(4).normal((cfg.time_dim, cfg.mid)) / np.sqrt(cfg.time_dim),
-        "den.t2.b": np.zeros(cfg.mid),
-        "den.d2.w": conv_init(rng.spawn(5), cfg.bottleneck, cfg.mid),
-        "den.d2.b": np.zeros(cfg.bottleneck),
-        "den.t3.w": rng.spawn(6).normal((cfg.time_dim, cfg.bottleneck)) / np.sqrt(cfg.time_dim),
-        "den.t3.b": np.zeros(cfg.bottleneck),
-        "den.u1.w": conv_init(rng.spawn(7), cfg.mid, cfg.bottleneck),
-        "den.u1.b": np.zeros(cfg.mid),
-        "den.u2.w": conv_init(rng.spawn(8), cfg.base, cfg.mid),
-        "den.u2.b": np.zeros(cfg.base),
-        "den.out.w": conv_init(rng.spawn(9), cfg.out_channels, cfg.base),
-        "den.out.b": np.zeros(cfg.out_channels),
-    }
-    from ..attention import AttentionParams
+# The denoiser in forward order: (name, in channels, out channels, stride,
+# time key), channels naming DenoiserConfig fields.  Stages with a time key
+# form the down path (conv, plus time projection, tanh), the last feeding the
+# bottleneck attention; later stages upsample 2x, conv, tanh and add the
+# mirrored skip, and the final one is linear.
+DENOISER_STAGES = (
+    ("in", "in_channels", "base", 1, "t1"),
+    ("d1", "base", "mid", 2, "t2"),
+    ("d2", "mid", "bottleneck", 2, "t3"),
+    ("u1", "bottleneck", "mid", 1, None),
+    ("u2", "mid", "base", 1, None),
+    ("out", "base", "out_channels", 1, None),
+)
+_DOWN = tuple(stage for stage in DENOISER_STAGES if stage[4] is not None)
+_UP = DENOISER_STAGES[len(_DOWN):-1]
+_OUT = DENOISER_STAGES[-1]
+SIZE_MULTIPLE = math.prod(stage[3] for stage in DENOISER_STAGES)
 
+
+def init_denoiser_params(cfg: DenoiserConfig, rng: SeededRng) -> dict:
+    p, streams = {}, itertools.count(1)
+    for name, cin, cout, _, tkey in DENOISER_STAGES:
+        cin, cout = getattr(cfg, cin), getattr(cfg, cout)
+        p[f"den.{name}.w"] = conv_init(rng.spawn(next(streams)), cout, cin)
+        p[f"den.{name}.b"] = np.zeros(cout)
+        if tkey is not None:
+            p[f"den.{tkey}.w"] = rng.spawn(next(streams)).normal((cfg.time_dim, cout)) / np.sqrt(cfg.time_dim)
+            p[f"den.{tkey}.b"] = np.zeros(cout)
     for name, arr in AttentionParams.init(cfg.attention, rng.spawn(11)).items():
         p[f"den.attn.{name}"] = arr
     return p
@@ -113,7 +120,6 @@ class DenoiserCache:
     convs: dict
     tanhs: dict
     attn_cache: object
-    h_shapes: dict
 
 
 def denoiser_forward(x_t, t, cond, cfg: DenoiserConfig, params: dict):
@@ -122,86 +128,69 @@ def denoiser_forward(x_t, t, cond, cfg: DenoiserConfig, params: dict):
     bsz, c, h, w = x_t.shape
     if c != cfg.out_channels:
         raise ShapeError(f"expected {cfg.out_channels} frame channels, got {c}")
-    if h % 4 or w % 4:
-        raise ShapeError(f"spatial dims {(h, w)} must be divisible by 4")
+    if h % SIZE_MULTIPLE or w % SIZE_MULTIPLE:
+        raise ShapeError(f"spatial dims {(h, w)} must be divisible by {SIZE_MULTIPLE}")
     cond = np.asarray(cond, dtype=np.float64)
     cond_map = np.broadcast_to(cond[:, :, None, None], (bsz, cfg.cond_dim, h, w))
-    inp = np.concatenate([x_t, cond_map], axis=1)
+    x = np.concatenate([x_t, cond_map], axis=1)
     temb = time_embedding(np.asarray(t), cfg.time_dim)
 
-    convs, tanhs = {}, {}
+    convs, tanhs, skips = {}, {}, []
 
-    def stage(name, src, stride, tkey=None):
+    def conv(name, src, stride):
         pre, convs[name] = conv2d_forward(src, params[f"den.{name}.w"], params[f"den.{name}.b"], stride)
-        if tkey is not None:
-            pre = pre + (temb @ params[f"den.{tkey}.w"] + params[f"den.{tkey}.b"])[:, :, None, None]
-        out = np.tanh(pre)
-        tanhs[name] = out
-        return out
+        return pre
 
-    h0 = stage("in", inp, 1, "t1")
-    h1 = stage("d1", h0, 2, "t2")
-    h2 = stage("d2", h1, 2, "t3")
+    for name, _, _, stride, tkey in _DOWN:
+        proj = temb @ params[f"den.{tkey}.w"] + params[f"den.{tkey}.b"]
+        x = tanhs[name] = np.tanh(conv(name, x, stride) + proj[:, :, None, None])
+        skips.append(x)
+    skips.pop()  # the bottleneck output is not a skip
 
-    s_h, s_w = h2.shape[2], h2.shape[3]
-    tokens = h2.reshape(bsz, cfg.bottleneck, s_h * s_w).transpose(0, 2, 1)
+    tokens = x.reshape(bsz, x.shape[1], -1).transpose(0, 2, 1)
     att_y, attn_cache = mha_forward(tokens, cfg.attention, block_params(params, "den.attn"))
-    h2a = h2 + att_y.transpose(0, 2, 1).reshape(h2.shape)
+    x = x + att_y.transpose(0, 2, 1).reshape(x.shape)
 
-    u1 = stage("u1", upsample2_forward(h2a), 1) + h1
-    u2 = stage("u2", upsample2_forward(u1), 1) + h0
-    eps_hat, convs["out"] = conv2d_forward(u2, params["den.out.w"], params["den.out.b"], 1)
-
-    cache = DenoiserCache(
-        temb=temb, convs=convs, tanhs=tanhs, attn_cache=attn_cache,
-        h_shapes={"h2": h2.shape, "u1": u1.shape, "u2": u2.shape},
-    )
-    return eps_hat, cache
+    for name, _, _, stride, _ in _UP:
+        tanhs[name] = np.tanh(conv(name, upsample2_forward(x), stride))
+        x = tanhs[name] + skips.pop()
+    eps_hat = conv(_OUT[0], x, _OUT[3])
+    return eps_hat, DenoiserCache(temb=temb, convs=convs, tanhs=tanhs, attn_cache=attn_cache)
 
 
 def denoiser_backward(grad_eps, cfg: DenoiserConfig, params: dict, cache: DenoiserCache, grads: dict):
     """Accumulate denoiser grads; returns grad wrt the conditioning vector."""
     convs, tanhs = cache.convs, cache.tanhs
-    bsz = grad_eps.shape[0]
 
-    def conv_back(name, g, first_grad_channel=0):
-        gw, gb, gx = conv2d_backward(
-            g, params[f"den.{name}.w"], convs[name], first_grad_channel=first_grad_channel
-        )
+    def conv_back(name, g, first=0):
+        gw, gb, gx = conv2d_backward(g, params[f"den.{name}.w"], convs[name], first_grad_channel=first)
         grads[f"den.{name}.w"] += gw
         grads[f"den.{name}.b"] += gb
         return gx
 
-    def time_back(tkey, g_pre):
-        g_ch = g_pre.sum(axis=(2, 3))
-        grads[f"den.{tkey}.w"] += cache.temb.T @ g_ch
-        grads[f"den.{tkey}.b"] += g_ch.sum(axis=0)
+    g = conv_back(_OUT[0], grad_eps)
+    skip_grads = []
+    for name, *_ in reversed(_UP):
+        skip_grads.append(g)
+        g = upsample2_backward(conv_back(name, tanh_backward(g, tanhs[name])))
 
-    g_u2s = conv_back("out", grad_eps)
-    g_h0_skip = g_u2s
-    g_u1s = upsample2_backward(conv_back("u2", tanh_backward(g_u2s, tanhs["u2"])))
-    g_h1_skip = g_u1s
-    g_h2a = upsample2_backward(conv_back("u1", tanh_backward(g_u1s, tanhs["u1"])))
-
-    s_b, s_c, s_h, s_w = cache.h_shapes["h2"]
-    g_tokens = g_h2a.reshape(s_b, s_c, s_h * s_w).transpose(0, 2, 1)
+    g_tokens = g.reshape(*g.shape[:2], -1).transpose(0, 2, 1)
     att_grads, g_tok_in = mha_backward(
         cfg.attention, block_params(params, "den.attn"), cache.attn_cache, g_tokens
     )
     for name, arr in att_grads.items():
         grads[f"den.attn.{name}"] += arr
-    g_h2 = (g_tokens + g_tok_in).transpose(0, 2, 1).reshape(s_b, s_c, s_h, s_w)
+    g = (g_tokens + g_tok_in).transpose(0, 2, 1).reshape(g.shape)
 
-    g_pre = tanh_backward(g_h2, tanhs["d2"])
-    time_back("t3", g_pre)
-    g_h1 = conv_back("d2", g_pre) + g_h1_skip
-    g_pre = tanh_backward(g_h1, tanhs["d1"])
-    time_back("t2", g_pre)
-    g_h0 = conv_back("d1", g_pre) + g_h0_skip
-    g_pre = tanh_backward(g_h0, tanhs["in"])
-    time_back("t1", g_pre)
+    for name, _, _, _, tkey in reversed(_DOWN):
+        g_pre = tanh_backward(g, tanhs[name])
+        g_ch = g_pre.sum(axis=(2, 3))
+        grads[f"den.{tkey}.w"] += cache.temb.T @ g_ch
+        grads[f"den.{tkey}.b"] += g_ch.sum(axis=0)
+        if skip_grads:
+            g = conv_back(name, g_pre) + skip_grads.pop()
     # Only the broadcast conditioning channels of the input get a gradient.
-    g_cond_map = conv_back("in", g_pre, first_grad_channel=cfg.out_channels)
+    g_cond_map = conv_back(_DOWN[0][0], g_pre, first=cfg.out_channels)
     return g_cond_map.sum(axis=(2, 3))
 
 

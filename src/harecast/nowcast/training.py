@@ -22,6 +22,7 @@ from ..synthdata import generate_event, make_split
 from ..tensor_core import SeededRng
 from ..trace import TraceRecord
 from .diffusion import (
+    SIZE_MULTIPLE,
     DenoiserConfig,
     DiffusionSchedule,
     ddim_sample,
@@ -93,6 +94,8 @@ class TrainConfig:
             value = getattr(self, key)
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
+            if key in ("height", "width") and value % SIZE_MULTIPLE:
+                raise ConfigError(f"{key} must be a multiple of {SIZE_MULTIPLE} (the denoiser's stride), got {value}")
         if self.trace_every < 0:
             raise ConfigError(f"trace_every must be >= 0 (0 turns tracing off), got {self.trace_every}")
         if self.n_val < self.batch_size:
@@ -175,6 +178,17 @@ class FrozenDraws:
 
     t: np.ndarray
     eps: np.ndarray
+
+
+def draw_batch(model: Model, data: dict, cfg: TrainConfig, rng: SeededRng):
+    """A training batch and its frozen draws: sample indices, then t, then eps."""
+    idx = rng.integers(0, cfg.n_train, size=cfg.batch_size)
+    batch = {k: v[idx] for k, v in data.items()}
+    draws = FrozenDraws(
+        t=np.asarray(rng.integers(1, model.sched.steps + 1, size=cfg.batch_size)),
+        eps=rng.normal(batch["y_future"].shape),
+    )
+    return batch, draws
 
 
 def objective(
@@ -305,12 +319,7 @@ def train(cfg: TrainConfig, hare_enabled: bool | None = None) -> TrainResult:
 
     losses, trace, partitions = [], [], []
     for step in range(cfg.steps):
-        idx = rng.integers(0, cfg.n_train, size=cfg.batch_size)
-        batch = {k: v[idx] for k, v in data.items()}
-        draws = FrozenDraws(
-            t=np.asarray(rng.integers(1, model.sched.steps + 1, size=cfg.batch_size)),
-            eps=rng.normal(batch["y_future"].shape),
-        )
+        batch, draws = draw_batch(model, data, cfg, rng)
         res = objective(model, batch, draws, cfg, hare_enabled)
         if not (math.isfinite(res.total) and all(np.all(np.isfinite(g)) for g in res.grads.values())):
             raise DivergenceError(f"training diverged at step {step}: non-finite loss or gradient")

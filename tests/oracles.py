@@ -8,17 +8,30 @@ out-of-place, unblocked array expressions that the bound suite and the
 normal draws were first written as.  The library computes the same
 operations in a faster order of passes, so tests require bit-equal results,
 and a NumPy release that changes a reduction's summation order fails a
-named test instead of silently changing the verification report.
+named test instead of silently changing the verification report.  The
+hand-written denoiser (every stage spelled out) pins the stage-table
+denoiser the same way.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from harecast.attention import sigma_min
+from harecast.attention import AttentionParams, mha_backward, mha_forward, sigma_min
 from harecast.bounds import EXACT_EPS, BoundReport, TheoremResult
+from harecast.nowcast.convnet import (
+    conv2d_backward,
+    conv2d_forward,
+    conv_init,
+    tanh_backward,
+    time_embedding,
+    upsample2_backward,
+    upsample2_forward,
+)
+from harecast.nowcast.model import block_params
 
 
 def naive_mha(x, wq, wk, wv, wo, bq, bk, bv, bo, heads):
@@ -306,3 +319,109 @@ def reference_check_theorem1(x_samples, response_map, head, y_samples,
         reports.append(_bound_report("reduced_input_variance", mse,
                                      (c_g * c_f - 1.0) ** 2 * var_x, eps, consts))
     return TheoremResult(refused=False, refusal_reason=None, reports=reports)
+
+
+def reference_init_denoiser_params(cfg, rng) -> dict:
+    """Denoiser parameters with every stage's entry and substream written out."""
+    p = {
+        "den.in.w": conv_init(rng.spawn(1), cfg.base, cfg.in_channels),
+        "den.in.b": np.zeros(cfg.base),
+        "den.t1.w": rng.spawn(2).normal((cfg.time_dim, cfg.base)) / np.sqrt(cfg.time_dim),
+        "den.t1.b": np.zeros(cfg.base),
+        "den.d1.w": conv_init(rng.spawn(3), cfg.mid, cfg.base),
+        "den.d1.b": np.zeros(cfg.mid),
+        "den.t2.w": rng.spawn(4).normal((cfg.time_dim, cfg.mid)) / np.sqrt(cfg.time_dim),
+        "den.t2.b": np.zeros(cfg.mid),
+        "den.d2.w": conv_init(rng.spawn(5), cfg.bottleneck, cfg.mid),
+        "den.d2.b": np.zeros(cfg.bottleneck),
+        "den.t3.w": rng.spawn(6).normal((cfg.time_dim, cfg.bottleneck)) / np.sqrt(cfg.time_dim),
+        "den.t3.b": np.zeros(cfg.bottleneck),
+        "den.u1.w": conv_init(rng.spawn(7), cfg.mid, cfg.bottleneck),
+        "den.u1.b": np.zeros(cfg.mid),
+        "den.u2.w": conv_init(rng.spawn(8), cfg.base, cfg.mid),
+        "den.u2.b": np.zeros(cfg.base),
+        "den.out.w": conv_init(rng.spawn(9), cfg.out_channels, cfg.base),
+        "den.out.b": np.zeros(cfg.out_channels),
+    }
+    for name, arr in AttentionParams.init(cfg.attention, rng.spawn(11)).items():
+        p[f"den.attn.{name}"] = arr
+    return p
+
+
+def reference_denoiser_forward(x_t, t, cond, cfg, params):
+    """The denoiser forward as six hand-ordered stage calls."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    bsz, _, h, w = x_t.shape
+    cond = np.asarray(cond, dtype=np.float64)
+    cond_map = np.broadcast_to(cond[:, :, None, None], (bsz, cfg.cond_dim, h, w))
+    inp = np.concatenate([x_t, cond_map], axis=1)
+    temb = time_embedding(np.asarray(t), cfg.time_dim)
+
+    convs, tanhs = {}, {}
+
+    def stage(name, src, stride, tkey=None):
+        pre, convs[name] = conv2d_forward(src, params[f"den.{name}.w"], params[f"den.{name}.b"], stride)
+        if tkey is not None:
+            pre = pre + (temb @ params[f"den.{tkey}.w"] + params[f"den.{tkey}.b"])[:, :, None, None]
+        out = np.tanh(pre)
+        tanhs[name] = out
+        return out
+
+    h0 = stage("in", inp, 1, "t1")
+    h1 = stage("d1", h0, 2, "t2")
+    h2 = stage("d2", h1, 2, "t3")
+
+    s_h, s_w = h2.shape[2], h2.shape[3]
+    tokens = h2.reshape(bsz, cfg.bottleneck, s_h * s_w).transpose(0, 2, 1)
+    att_y, attn_cache = mha_forward(tokens, cfg.attention, block_params(params, "den.attn"))
+    h2a = h2 + att_y.transpose(0, 2, 1).reshape(h2.shape)
+
+    u1 = stage("u1", upsample2_forward(h2a), 1) + h1
+    u2 = stage("u2", upsample2_forward(u1), 1) + h0
+    eps_hat, convs["out"] = conv2d_forward(u2, params["den.out.w"], params["den.out.b"], 1)
+    cache = SimpleNamespace(temb=temb, convs=convs, tanhs=tanhs, attn_cache=attn_cache, h2_shape=h2.shape)
+    return eps_hat, cache
+
+
+def reference_denoiser_backward(grad_eps, cfg, params, cache, grads):
+    """The denoiser backward as a hand-ordered conv/time-projection sequence."""
+    convs, tanhs = cache.convs, cache.tanhs
+
+    def conv_back(name, g, first_grad_channel=0):
+        gw, gb, gx = conv2d_backward(
+            g, params[f"den.{name}.w"], convs[name], first_grad_channel=first_grad_channel
+        )
+        grads[f"den.{name}.w"] += gw
+        grads[f"den.{name}.b"] += gb
+        return gx
+
+    def time_back(tkey, g_pre):
+        g_ch = g_pre.sum(axis=(2, 3))
+        grads[f"den.{tkey}.w"] += cache.temb.T @ g_ch
+        grads[f"den.{tkey}.b"] += g_ch.sum(axis=0)
+
+    g_u2s = conv_back("out", grad_eps)
+    g_h0_skip = g_u2s
+    g_u1s = upsample2_backward(conv_back("u2", tanh_backward(g_u2s, tanhs["u2"])))
+    g_h1_skip = g_u1s
+    g_h2a = upsample2_backward(conv_back("u1", tanh_backward(g_u1s, tanhs["u1"])))
+
+    s_b, s_c, s_h, s_w = cache.h2_shape
+    g_tokens = g_h2a.reshape(s_b, s_c, s_h * s_w).transpose(0, 2, 1)
+    att_grads, g_tok_in = mha_backward(
+        cfg.attention, block_params(params, "den.attn"), cache.attn_cache, g_tokens
+    )
+    for name, arr in att_grads.items():
+        grads[f"den.attn.{name}"] += arr
+    g_h2 = (g_tokens + g_tok_in).transpose(0, 2, 1).reshape(s_b, s_c, s_h, s_w)
+
+    g_pre = tanh_backward(g_h2, tanhs["d2"])
+    time_back("t3", g_pre)
+    g_h1 = conv_back("d2", g_pre) + g_h1_skip
+    g_pre = tanh_backward(g_h1, tanhs["d1"])
+    time_back("t2", g_pre)
+    g_h0 = conv_back("d1", g_pre) + g_h0_skip
+    g_pre = tanh_backward(g_h0, tanhs["in"])
+    time_back("t1", g_pre)
+    g_cond_map = conv_back("in", g_pre, first_grad_channel=cfg.out_channels)
+    return g_cond_map.sum(axis=(2, 3))

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
-from oracles import naive_conv2d, naive_conv2d_param_grads
+from oracles import (
+    naive_conv2d,
+    naive_conv2d_param_grads,
+    reference_denoiser_backward,
+    reference_denoiser_forward,
+    reference_init_denoiser_params,
+)
 
 from harecast.errors import ConfigError
-from harecast.gradcheck import objective_gradcheck
+from harecast.gradcheck import micro_train_config, objective_gradcheck
 from harecast.nowcast.convnet import conv2d_backward, conv2d_forward
 from harecast.nowcast.diffusion import (
     DenoiserConfig,
     ddim_sample,
+    denoiser_backward,
+    denoiser_forward,
     diffusion_loss,
     init_denoiser_params,
     make_schedule,
@@ -34,6 +42,10 @@ from harecast.nowcast.training import (
 )
 from harecast.synthdata import make_split
 from harecast.tensor_core import SeededRng
+
+
+def assert_bitwise(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 def micro_cfg(**kw):
@@ -230,6 +242,36 @@ class TestConv:
 
 
 class TestDenoiser:
+    @pytest.mark.parametrize("bsz", [1, 8])
+    @pytest.mark.parametrize("model", ["default", "gradcheck_micro"])
+    def test_stage_table_is_bitwise_the_hand_written_denoiser(self, model, bsz):
+        train_cfg = TrainConfig() if model == "default" else micro_train_config(0)
+        cfg = train_cfg.denoiser()
+        params = init_denoiser_params(cfg, SeededRng(train_cfg.seed, stream=1000).spawn(2000))
+        want = reference_init_denoiser_params(cfg, SeededRng(train_cfg.seed, stream=1000).spawn(2000))
+        assert list(params) == list(want)
+        for name in params:
+            assert_bitwise(params[name], want[name])
+
+        rng = SeededRng(61, stream=bsz)
+        # Offsets on every parameter so the zero-initialised biases take part.
+        params = {name: arr + 0.1 * rng.normal(arr.shape) for name, arr in params.items()}
+        x_t = rng.normal((bsz, cfg.out_channels, train_cfg.height, train_cfg.width))
+        t = np.asarray(rng.integers(1, 1001, size=bsz))
+        cond = rng.normal((bsz, cfg.cond_dim))
+        grad_eps = rng.normal(x_t.shape)
+        eps_hat, cache = denoiser_forward(x_t, t, cond, cfg, params)
+        want_eps_hat, want_cache = reference_denoiser_forward(x_t, t, cond, cfg, params)
+        assert_bitwise(eps_hat, want_eps_hat)
+
+        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        want_grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        g_cond = denoiser_backward(grad_eps, cfg, params, cache, grads)
+        want_g_cond = reference_denoiser_backward(grad_eps, cfg, params, want_cache, want_grads)
+        for name in params:
+            assert_bitwise(grads[name], want_grads[name])
+        assert_bitwise(g_cond, want_g_cond)
+
     def test_zero_denoiser_loss_near_one(self):
         cfg = DenoiserConfig(out_channels=2, cond_dim=4, base=4, mid=6, bottleneck=8, heads=2)
         params = {k: np.zeros_like(v) for k, v in init_denoiser_params(cfg, SeededRng(15)).items()}

@@ -17,7 +17,7 @@ import pytest
 import harecast
 from harecast import metrics
 from harecast.cli import main
-from harecast.nowcast.training import TrainConfig
+from harecast.nowcast.training import TrainConfig, build_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,6 +52,18 @@ def test_benchmark_instrumentation_targets_exist(monkeypatch):
     tracer = ResolvingTracer()
     workloads.instrument(tracer, stage_of={})
     assert tracer.patched
+
+
+def test_benchmark_conv_stages_are_the_denoiser_stage_table(monkeypatch):
+    """Per-stage conv spans stay keyed on the denoiser's own stages, all six resolvable."""
+    from harecast.nowcast.diffusion import DENOISER_STAGES
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    names = tuple(stage[0] for stage in DENOISER_STAGES)
+    assert names == workloads.CONV_STAGES
+    stage_of = workloads.conv_stage_names(build_model(TrainConfig()).params)
+    assert sorted(stage_of.values()) == sorted(names)
 
 
 def test_evaluate_pair_reaches_traced_metrics_by_attribute(monkeypatch):

@@ -250,6 +250,18 @@ class TestCliCommands:
         assert not calls
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag", ["--height", "--width"])
+    def test_size_off_the_denoiser_stride_rejected_before_training(self, tmp_path, capsys, monkeypatch, flag):
+        calls = []
+        monkeypatch.setattr(training, "objective", lambda *args, **kw: calls.append(1))
+        # --patch 2 lets 18 through the encoder's patch rule; the denoiser's stride-4 rule remains.
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), "--patch", "2", f"{flag}=18") == 2
+        err = capsys.readouterr().err
+        key = flag[2:]
+        assert err.startswith(f"error: {key} must be a multiple of") and err.count("\n") == 1
+        assert not calls
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("learning_rate,where", [("1e6", "at step 2"), ("1e3", "held-out probe")])
     def test_diverged_run_exits_2_and_writes_nothing(self, tmp_path, capsys, learning_rate, where):
         out = tmp_path / "x"
@@ -302,6 +314,15 @@ class TestCliCommands:
                         "--perturb-param", "wk", "--perturb-eps", "1e-3") == 1
         out = capsys.readouterr().out
         assert "wk[" in out  # failure names the parameter
+
+    @pytest.mark.parametrize("name", ["nosuch", "WK", ""])
+    def test_gradcheck_unknown_perturb_param_rejected(self, capsys, monkeypatch, name):
+        monkeypatch.setattr(cli, "run_gradcheck_suite", lambda *args, **kw: pytest.fail("check ran"))
+        assert self.run("gradcheck", "--seeds", "1", "--perturb-param", name) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --perturb-param") and captured.err.count("\n") == 1
+        assert "wq, wk, wv, wo, bq, bk, bv, bo" in captured.err
+        assert "verdict" not in captured.out
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_gradcheck_without_objective_seeds_rejected(self, capsys, seeds):
