@@ -239,13 +239,15 @@ def cmd_gradcheck(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     perturb = None
+    if args.perturb_eps is not None and args.perturb_param is None:
+        raise ConfigError("--perturb-eps needs --perturb-param (the parameter to perturb)")
     if args.perturb_param is not None:
         names = [f.name for f in dataclasses.fields(AttentionParams)]
         if args.perturb_param not in names:
             raise ConfigError(
                 f"--perturb-param must be one of {', '.join(names)}, got {args.perturb_param!r}"
             )
-        perturb = (args.perturb_param, args.perturb_eps)
+        perturb = (args.perturb_param, 1e-3 if args.perturb_eps is None else args.perturb_eps)
     ok, rows = run_gradcheck_suite(args.seed, seeds=args.seeds, perturb=perturb)
     for kind, seed, rep in rows:
         status = "ok" if rep.ok else "FAIL"
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--perturb-param", help=argparse.SUPPRESS)
-    p.add_argument("--perturb-eps", type=float, default=1e-3, help=argparse.SUPPRESS)
+    p.add_argument("--perturb-eps", type=float, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -1,10 +1,27 @@
 """Convolution, upsampling and activation primitives with exact backward.
 
 A 3x3 pad-1 convolution is the sum of nine shifted products: for each
-kernel offset (ky, kx), the matching strided view of the padded input is
-multiplied by the (out_channels, in_channels) slice of the weight.  Every
-stride takes this one path, and no (B, Ho*Wo, Cin*9) column buffer is ever
-built (low-memory GEMM convolution, Anderson et al., arXiv 1709.03395).
+kernel offset (ky, kx), the matching view of the padded input is multiplied
+by the (out_channels, in_channels) slice of the weight.  No (B, Ho*Wo,
+Cin*9) column buffer is ever built (low-memory GEMM convolution, Anderson
+et al., arXiv 1709.03395), and no tap window is copied either.
+
+The input is written once, by zeros plus slice assignment, into a flat
+polyphase buffer (B, Cin, s*s, rows*gw) at stride s: plane (py, px) holds
+the padded image's rows py::s and columns px::s on a grid gw columns wide
+(Wo + 2 at stride 1, Wo + 1 at stride 2), with one slack row.
+At that fixed row pitch, tap (ky, kx) of output (oy, ox) sits at flat
+index (oy + ky // s) * gw + ox + kx // s of plane (ky % s, kx % s), so each
+tap reads one contiguous run of Ho*gw values in place.  The output is
+formed on the gw-wide grid and its last gw - Wo columns, whose taps wrap
+into the next row, are dropped.  Each valid output still sums the same
+per-tap products in the same tap order as a copied window would give, so
+the result is bit-identical to the padded-window form.  The backward pass
+adds each tap's input gradient into that tap's window of a buffer of the
+same layout and gathers the valid cells back; the weight gradient reads
+each tap's window.  One layout serves every stride, and its geometry is
+computed once per input shape.
+
 Weights are stored flat as (out_channels, in_channels * k * k), ordered
 (channel, ky, kx), so the whole model lives in one flat name -> array
 registry.  Backward passes are hand-derived adjoints of the forward
@@ -13,6 +30,7 @@ slicing, which keeps them exactly consistent with finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,16 +44,41 @@ PAD = 1
 
 @dataclass
 class ConvCache:
-    padded: np.ndarray  # (B, Cin, H + 2*PAD, W + 2*PAD)
+    flat: np.ndarray  # (B, Cin, stride**2, rows * grid_width), see _layout
     stride: int
+    shape: tuple  # (B, Cin, H, W) of the input
 
 
-def _offsets(ho: int, wo: int, stride: int):
-    """(tap index, window of the padded image) for every kernel offset."""
+@functools.lru_cache(maxsize=64)  # a model has a handful of conv shapes
+def _layout(h: int, w: int, stride: int):
+    """Geometry of the flat polyphase buffer of an (h, w) input.
+
+    Returns (ho, wo, grid_width, rows, phases, taps).  Each phase is
+    (plane, buffer rows, buffer cols, input rows, input cols): the slices
+    that copy the input into, or gather a gradient out of, that plane.  Each
+    tap, in (ky, kx) order, is (plane, row shift, col shift, flat offset).
+    """
+    reach = (KERNEL - 1) // stride
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    gw, rows = wo + reach, ho + reach + 1  # one slack row for the last tap's tail
+
+    def polyphase(size, phase):
+        first = -(-(PAD - phase) // stride)  # first plane index holding input
+        start = stride * first + phase - PAD
+        count = len(range(start, size, stride))
+        return slice(first, first + count), slice(start, size, stride)
+
+    phases = []
+    for py in range(stride):
+        for px in range(stride):
+            (dr, sr), (dc, sc) = polyphase(h, py), polyphase(w, px)
+            phases.append((py * stride + px, dr, dc, sr, sc))
+    taps = []
     for ky in range(KERNEL):
         for kx in range(KERNEL):
-            window = (slice(ky, ky + ho * stride, stride), slice(kx, kx + wo * stride, stride))
-            yield ky * KERNEL + kx, (slice(None), slice(None)) + window
+            dy, dx = ky // stride, kx // stride
+            taps.append(((ky % stride) * stride + kx % stride, dy, dx, dy * gw + dx))
+    return ho, wo, gw, rows, tuple(phases), tuple(taps)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
@@ -44,14 +87,18 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1)
     if w.shape[1] != cin * KERNEL * KERNEL:
         raise ShapeError(f"conv weight {w.shape} incompatible with {cin} input channels")
     cout = w.shape[0]
-    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    padded = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
+    ho, wo, gw, rows, phases, offsets = _layout(h, wd, stride)
+    flat = np.zeros((bsz, cin, stride * stride, rows * gw))
+    planes = flat.reshape(bsz, cin, stride * stride, rows, gw)
+    for p, dr, dc, sr, sc in phases:
+        planes[:, :, p, dr, dc] = x[:, :, sr, sc]
     taps = w.reshape(cout, cin, KERNEL * KERNEL)
-    out = np.zeros((bsz, cout, ho * wo))
-    for k, window in _offsets(ho, wo, stride):
-        out += taps[:, :, k] @ padded[window].reshape(bsz, cin, ho * wo)
-    out += b[:, None]
-    return out.reshape(bsz, cout, ho, wo), ConvCache(padded=padded, stride=stride)
+    n = ho * gw
+    out = np.zeros((bsz, cout, n))
+    for k, (p, _, _, off) in enumerate(offsets):
+        out += taps[:, :, k] @ flat[:, :, p, off:off + n]
+    out = out.reshape(bsz, cout, ho, gw)[:, :, :, :wo] + b[:, None, None]
+    return out, ConvCache(flat=flat, stride=stride, shape=x.shape)
 
 
 def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first_grad_channel: int = 0):
@@ -61,17 +108,23 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
     caller that reads just the trailing channels skips the rest.
     """
     bsz, cout, ho, wo = grad_out.shape
-    padded = cache.padded
-    cin = padded.shape[1]
+    _, cin, h, wd = cache.shape
+    stride = cache.stride
+    _, _, gw, rows, phases, offsets = _layout(h, wd, stride)
+    planes = cache.flat.reshape(bsz, cin, stride * stride, rows, gw)
     g = grad_out.reshape(bsz, cout, ho * wo)
     taps = w.reshape(cout, cin, KERNEL * KERNEL)
     grad_w = np.empty_like(taps)
-    grad_pad = np.zeros((bsz, cin - first_grad_channel) + padded.shape[2:])
-    for k, window in _offsets(ho, wo, cache.stride):
-        view = padded[window].reshape(bsz, cin, ho * wo)
+    grad_planes = np.zeros((bsz, cin - first_grad_channel, stride * stride, rows, gw))
+    for k, (p, dy, dx, _) in enumerate(offsets):
+        window = (slice(None), slice(None), p, slice(dy, dy + ho), slice(dx, dx + wo))
+        view = planes[window].reshape(bsz, cin, ho * wo)
         grad_w[:, :, k] = np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
-        grad_pad[window] += (taps[:, first_grad_channel:, k].T @ g).reshape(bsz, -1, ho, wo)
-    return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_pad[:, :, PAD:-PAD, PAD:-PAD]
+        grad_planes[window] += (taps[:, first_grad_channel:, k].T @ g).reshape(bsz, -1, ho, wo)
+    grad_x = np.empty((bsz, cin - first_grad_channel, h, wd))
+    for p, dr, dc, sr, sc in phases:
+        grad_x[:, :, sr, sc] = grad_planes[:, :, p, dr, dc]
+    return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_x
 
 
 def tanh_backward(grad_y: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -96,6 +96,11 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
             if key in ("height", "width") and value % SIZE_MULTIPLE:
                 raise ConfigError(f"{key} must be a multiple of {SIZE_MULTIPLE} (the denoiser's stride), got {value}")
+        for key, divisor in (("height", "patch"), ("width", "patch"), ("dim", "heads"),
+                             ("den_bottleneck", "den_heads")):
+            value, by = getattr(self, key), getattr(self, divisor)
+            if value % by:
+                raise ConfigError(f"{key} must be a multiple of {divisor} ({by}), got {value}")
         if self.trace_every < 0:
             raise ConfigError(f"trace_every must be >= 0 (0 turns tracing off), got {self.trace_every}")
         if self.n_val < self.batch_size:

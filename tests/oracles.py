@@ -10,7 +10,8 @@ operations in a faster order of passes, so tests require bit-equal results,
 and a NumPy release that changes a reduction's summation order fails a
 named test instead of silently changing the verification report.  The
 hand-written denoiser (every stage spelled out) pins the stage-table
-denoiser the same way.
+denoiser the same way, and the padded-window convolution pins the flat
+polyphase convolution.
 """
 
 from __future__ import annotations
@@ -425,3 +426,46 @@ def reference_denoiser_backward(grad_eps, cfg, params, cache, grads):
     time_back("t1", g_pre)
     g_cond_map = conv_back("in", g_pre, first_grad_channel=cfg.out_channels)
     return g_cond_map.sum(axis=(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Bitwise reference for the convolution: the shifted-GEMM form that pads
+# the input with np.pad and copies every tap's strided window out of it.
+# ---------------------------------------------------------------------------
+
+
+def _reference_windows(ho, wo, stride):
+    for ky in range(3):
+        for kx in range(3):
+            window = (slice(ky, ky + ho * stride, stride), slice(kx, kx + wo * stride, stride))
+            yield ky * 3 + kx, (slice(None), slice(None)) + window
+
+
+def reference_conv2d_forward(x, w, b, stride=1):
+    """3x3 pad-1 convolution; returns (out, (padded input, stride))."""
+    bsz, cin, h, wd = x.shape
+    cout = w.shape[0]
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    taps = w.reshape(cout, cin, 9)
+    out = np.zeros((bsz, cout, ho * wo))
+    for k, window in _reference_windows(ho, wo, stride):
+        out += taps[:, :, k] @ padded[window].reshape(bsz, cin, ho * wo)
+    out += b[:, None]
+    return out.reshape(bsz, cout, ho, wo), (padded, stride)
+
+
+def reference_conv2d_backward(grad_out, w, cache, first_grad_channel=0):
+    """(grad_w, grad_b, grad_x) of reference_conv2d_forward."""
+    padded, stride = cache
+    bsz, cout, ho, wo = grad_out.shape
+    cin = padded.shape[1]
+    g = grad_out.reshape(bsz, cout, ho * wo)
+    taps = w.reshape(cout, cin, 9)
+    grad_w = np.empty_like(taps)
+    grad_pad = np.zeros((bsz, cin - first_grad_channel) + padded.shape[2:])
+    for k, window in _reference_windows(ho, wo, stride):
+        view = padded[window].reshape(bsz, cin, ho * wo)
+        grad_w[:, :, k] = np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
+        grad_pad[window] += (taps[:, first_grad_channel:, k].T @ g).reshape(bsz, -1, ho, wo)
+    return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_pad[:, :, 1:-1, 1:-1]

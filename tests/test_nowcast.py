@@ -3,6 +3,8 @@ import pytest
 from oracles import (
     naive_conv2d,
     naive_conv2d_param_grads,
+    reference_conv2d_backward,
+    reference_conv2d_forward,
     reference_denoiser_backward,
     reference_denoiser_forward,
     reference_init_denoiser_params,
@@ -239,6 +241,24 @@ class TestConv:
         np.testing.assert_array_equal(part[0], full[0])
         np.testing.assert_array_equal(part[1], full[1])
         np.testing.assert_allclose(part[2], full[2][:, first:], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("bsz", [1, 2, 8])
+    @pytest.mark.parametrize("hw", [(32, 32), (16, 16), (7, 9), (8, 6)], ids=lambda hw: "%dx%d" % hw)
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_bitwise_the_padded_window_conv(self, stride, hw, bsz, cin=5, cout=6):
+        rng = np.random.default_rng([stride, *hw, bsz])
+        x = rng.normal(size=(bsz, cin) + hw)
+        w = rng.normal(size=(cout, cin * 9))
+        b = rng.normal(size=cout)
+        out, cache = conv2d_forward(x, w, b, stride)
+        want, want_cache = reference_conv2d_forward(x, w, b, stride)
+        assert_bitwise(out, want)
+        g = rng.normal(size=out.shape)
+        for first in (0, 1, cin - 1):
+            got = conv2d_backward(g, w, cache, first_grad_channel=first)
+            ref = reference_conv2d_backward(g, w, want_cache, first_grad_channel=first)
+            for got_part, ref_part in zip(got, ref):  # grad_w, grad_b, grad_x
+                assert_bitwise(got_part, ref_part)
 
 
 class TestDenoiser:

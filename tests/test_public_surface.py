@@ -66,6 +66,62 @@ def test_benchmark_conv_stages_are_the_denoiser_stage_table(monkeypatch):
     assert sorted(stage_of.values()) == sorted(names)
 
 
+class RecordingTracer(ResolvingTracer):
+    """Stand-in for the benchmark's Tracer that keeps each span's name and counter."""
+
+    def __init__(self):
+        super().__init__()
+        self.hooks = {}
+
+    def patch(self, owner, attr, name, counter=None):
+        super().patch(owner, attr, name, counter)
+        self.hooks[owner.__name__, attr] = (name, counter)
+
+
+def test_benchmark_conv_hooks_read_real_conv_calls(monkeypatch):
+    """The traced run's conv span names and GFLOP/MB counts resolve on real conv calls."""
+    from harecast.nowcast import diffusion
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    cfg = TrainConfig()
+    model = build_model(cfg)
+    stage_of = workloads.conv_stage_names(model.params)
+    tracer = RecordingTracer()
+    workloads.instrument(tracer, stage_of)
+
+    calls = []
+    for direction in ("forward", "backward"):
+        original = getattr(diffusion, f"conv2d_{direction}")
+
+        def recording(*args, _direction=direction, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append((_direction, args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(diffusion, f"conv2d_{direction}", recording)
+    rng = np.random.default_rng(0)
+    bsz = 2
+    x_t = rng.normal(size=(bsz, cfg.frames_out, cfg.height, cfg.width))
+    cond = rng.normal(size=(bsz, cfg.cond_dim))
+    eps_hat, cache = diffusion.denoiser_forward(x_t, np.array([1, 500]), cond, model.den_cfg, model.params)
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    diffusion.denoiser_backward(np.ones_like(eps_hat), model.den_cfg, model.params, cache, grads)
+
+    seen = {"forward": set(), "backward": set()}
+    for direction, args, kwargs, result in calls:
+        name, counter = tracer.hooks["harecast.nowcast.diffusion", f"conv2d_{direction}"]
+        label = name(*args, **kwargs)
+        stage = label.rsplit(".", 1)[1]
+        assert label == f"nowcast.convnet.conv2d_{direction}.{stage}" and stage in stage_of.values()
+        counts = counter(args, result)
+        assert set(counts) == {f"nowcast.convnet.{stage}.gflop", f"nowcast.convnet.{stage}.mb_moved"}
+        assert all(value > 0 for value in counts.values())
+        seen[direction].add(stage)
+    assert seen["forward"] == seen["backward"] == set(stage_of.values())
+    assert len(stage_of) == 6
+
+
 def test_evaluate_pair_reaches_traced_metrics_by_attribute(monkeypatch):
     """The traced benchmark's metrics.ssim and metrics.pooled_csi spans stay populated."""
     calls = {"ssim": 0, "pooled_csi": 0}

@@ -240,6 +240,10 @@ class TestCliCommands:
         ("--den-base", "0", "den_base"),
         ("--cond-dim", "0", "cond_dim"),
         ("--trace-every", "-1", "trace_every"),
+        ("--height", "20", "height must be a multiple of patch"),
+        ("--width", "12", "width must be a multiple of patch"),
+        ("--dim", "30", "dim must be a multiple of heads"),
+        ("--den-bottleneck", "15", "den_bottleneck must be a multiple of den_heads"),
     ])
     def test_invalid_value_rejected_before_training(self, tmp_path, capsys, monkeypatch, flag, raw, names):
         calls = []
@@ -322,6 +326,14 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --perturb-param") and captured.err.count("\n") == 1
         assert "wq, wk, wv, wo, bq, bk, bv, bo" in captured.err
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("eps", ["5", "1e-3"])
+    def test_gradcheck_perturb_eps_without_param_rejected(self, capsys, monkeypatch, eps):
+        monkeypatch.setattr(cli, "run_gradcheck_suite", lambda *args, **kw: pytest.fail("check ran"))
+        assert self.run("gradcheck", "--seeds", "1", "--perturb-eps", eps) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --perturb-eps") and captured.err.count("\n") == 1
         assert "verdict" not in captured.out
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
