@@ -27,13 +27,11 @@ __all__ = [
     "BoundReport",
     "TheoremResult",
     "total_variance",
-    "estimate_cf",
     "check_lemma1",
     "check_lemma2",
     "check_theorem1",
     "matched_variance_targets",
     "linear_map",
-    "attention_pushforward_map",
     "draw_samples",
     "run_verification_suite",
     "SuiteReport",
@@ -57,7 +55,6 @@ class DistributionSpec:
     dim: int
     n: int
     seed: int
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -73,16 +70,16 @@ def draw_samples(spec: DistributionSpec) -> np.ndarray:
     rng = SeededRng(spec.seed, stream=101)
     if spec.kind == "gaussian":
         mean = rng.normal((spec.dim,))
-        return mean + spec.scale * rng.normal((spec.n, spec.dim))
+        return mean + rng.normal((spec.n, spec.dim))
     if spec.kind == "mixture":
         m1 = rng.normal((spec.dim,))
         m2 = rng.normal((spec.dim,))
         comp = (rng.uniform((spec.n,)) < 0.5)[:, None]
         base = rng.normal((spec.n, spec.dim))
-        return np.where(comp, m1 + 0.7 * spec.scale * base, m2 + 1.3 * spec.scale * base)
+        return np.where(comp, m1 + 0.7 * base, m2 + 1.3 * base)
     # Gaussian tokens through a fixed random attention block, flattened.
     block = _attention_block_map(spec.dim, rng.spawn(7))
-    return block(spec.scale * rng.normal((spec.n, spec.dim)))
+    return block(rng.normal((spec.n, spec.dim)))
 
 
 def _sq_norms(dev: np.ndarray) -> np.ndarray:
@@ -124,10 +121,8 @@ def linear_map(matrix) -> "callable":
 def _attention_block_map(dim: int, rng: SeededRng):
     """Residual single-head attention block of random weights from rng.
 
-    Acts on (n, dim) vectors read as dim / 2 tokens of 2 features.
+    Acts on (n, dim) vectors read as dim / 2 tokens of 2 features (dim even, >= 4).
     """
-    if dim < 4 or dim % 2:
-        raise ConfigError("attention map needs an even dim >= 4")
     feat = 2
     tokens = dim // feat
     cfg = AttentionConfig(model_dim=feat, heads=1)
@@ -139,24 +134,6 @@ def _attention_block_map(dim: int, rng: SeededRng):
         return (t + y).reshape(xs.shape[0], dim)
 
     return apply
-
-
-def attention_pushforward_map(dim: int, seed: int, gain: float = 1.0):
-    """Fixed random attention block as a response map on flat vectors."""
-    block = _attention_block_map(dim, SeededRng(seed, stream=202))
-    return lambda xs: gain * block(xs)
-
-
-def estimate_cf(response_map, x_samples) -> float:
-    """Largest variance-expansion constant consistent with the samples.
-
-    Returns sqrt(Var(F(X)) / Var(X)) on empirical moments.
-    """
-    var_x = total_variance(x_samples)
-    if var_x == 0.0:
-        raise DegenerateInputError("input samples have zero variance")
-    var_f = total_variance(response_map(np.asarray(x_samples, dtype=np.float64)))
-    return float(np.sqrt(var_f / var_x))
 
 
 @dataclass
@@ -172,11 +149,10 @@ class BoundReport:
     constants: dict = field(default_factory=dict)
 
 
-def _margin_se(lhs_terms: np.ndarray, rhs_terms: np.ndarray, blocks: int = 10) -> float:
-    """Sampling standard error of a moment-difference via block means."""
+def _margin_se(lhs_terms: np.ndarray, rhs_terms: np.ndarray) -> float:
+    """Sampling standard error of a moment-difference via the means of ten blocks."""
     n = lhs_terms.shape[0]
-    if n < blocks:
-        blocks = max(2, n)
+    blocks = 10 if n >= 10 else max(2, n)
     edges = np.linspace(0, n, blocks + 1, dtype=int)
     vals = []
     for b in range(blocks):
@@ -256,13 +232,12 @@ def check_theorem1(
     response_map,
     head: LinearHead,
     y_samples,
-    var_tol: float = 1e-9,
     check_reduced_forms: bool = False,
 ) -> TheoremResult:
     """All three MSE lower bounds under the admissibility preconditions.
 
     Refuses (naming the violated condition) unless empirical c_G * c_F > 1
-    and Var(Y) matches Var(X) within var_tol relative.  With
+    and Var(Y) matches Var(X) within 1e-9 relative.  With
     check_reduced_forms, also emits the bias-free reduced bounds used in
     the unbiased configuration.
     """
@@ -287,7 +262,7 @@ def check_theorem1(
             refused=True,
             refusal_reason=f"requires c_G*c_F > 1, got {c_g * c_f!r}",
         )
-    if abs(var_y - var_x) > var_tol * max(var_x, 1e-300):
+    if abs(var_y - var_x) > 1e-9 * max(var_x, 1e-300):
         return TheoremResult(
             refused=True,
             refusal_reason=(

@@ -152,7 +152,7 @@ def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
     return out / (window * window)
 
 
-def ssim(pred, truth, window: int = 7, k1: float = 0.01, k2: float = 0.03, dynamic_range: float = 1.0) -> float:
+def ssim(pred, truth, window: int = 7) -> float:
     """Mean local structural similarity over uniform sliding windows.
 
     Windows are the valid window x window patches of each frame.  For
@@ -168,8 +168,7 @@ def ssim(pred, truth, window: int = 7, k1: float = 0.01, k2: float = 0.03, dynam
         raise ConfigError(f"window must be >= 1, got {window}")
     if window > min(p.shape[-2:]):
         raise ShapeError(f"window {window} larger than image {p.shape[-2:]}")
-    c1 = (k1 * dynamic_range) ** 2
-    c2 = (k2 * dynamic_range) ** 2
+    c1, c2 = 0.01**2, 0.03**2  # K1, K2 on the unit dynamic range of [0, 1] fields
     mu_p = _box_mean(p, window)
     mu_t = _box_mean(t, window)
     var_p = _box_mean(p * p, window) - mu_p**2
@@ -212,7 +211,7 @@ def paired_t_test(scores_a, scores_b) -> TTestResult:
     return TTestResult(t=t, p=p, dof=dof, degenerate=False)
 
 
-def evaluate_pair(pred, truth, thresholds, pools=(4, 16)) -> dict:
+def evaluate_pair(pred, truth, thresholds) -> dict:
     """Standard metric bundle for one (prediction, truth) sequence pair."""
     p, t = _field(pred), _field(truth)
     thresholds = tuple(thresholds)
@@ -230,7 +229,7 @@ def evaluate_pair(pred, truth, thresholds, pools=(4, 16)) -> dict:
         "hss": float(np.mean(hss_vals)) if hss_vals else math.nan,
         "ssim": ssim(p, t),
     }
-    for pool in pools:
+    for pool in (4, 16):
         # Pool each field once per size, then score the thresholds active at
         # full resolution on the pooled fields.
         pooled = []

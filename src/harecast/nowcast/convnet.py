@@ -16,7 +16,11 @@ tap reads one contiguous run of Ho*gw values in place.  The output is
 formed on the gw-wide grid and its last gw - Wo columns, whose taps wrap
 into the next row, are dropped.  Each valid output still sums the same
 per-tap products in the same tap order as a copied window would give, so
-the result is bit-identical to the padded-window form.  The backward pass
+for a stage with at least two output channels the result is bit-identical
+to the padded-window form.  With one output channel, NumPy hands each
+tap's (1, Cin) @ (Cin, N) product to BLAS gemv, whose tail columns depend
+on the row length N (Ho*gw here, Ho*Wo for copied windows), so at some
+sizes a few outputs differ at roundoff.  The backward pass
 adds each tap's input gradient into that tap's window of a buffer of the
 same layout and gathers the valid cells back; the weight gradient reads
 each tap's window.  One layout serves every stride, and its geometry is

@@ -35,7 +35,6 @@ from .model import block_params
 @dataclass(frozen=True)
 class DiffusionSchedule:
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
 
     @property
@@ -43,14 +42,12 @@ class DiffusionSchedule:
         return self.betas.shape[0]
 
 
-def make_schedule(steps: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02) -> DiffusionSchedule:
+def make_schedule(steps: int = 1000) -> DiffusionSchedule:
+    """Linear beta schedule from 1e-4 to 0.02 over steps."""
     if steps < 1:
         raise ConfigError("schedule needs at least one step")
-    if not (0.0 < beta_start < beta_end < 1.0):
-        raise ConfigError(f"invalid beta endpoints ({beta_start}, {beta_end})")
-    betas = np.linspace(beta_start, beta_end, steps)
-    alphas = 1.0 - betas
-    return DiffusionSchedule(betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas))
+    betas = np.linspace(1e-4, 0.02, steps)
+    return DiffusionSchedule(betas=betas, alpha_bars=np.cumprod(1.0 - betas))
 
 
 @dataclass(frozen=True)

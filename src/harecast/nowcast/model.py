@@ -168,15 +168,6 @@ def encode_backward(
     grads["enc.embed.w"] += weight_grad(cache.patches, g)
 
 
-def reconstruct(f: np.ndarray, cfg: EncoderConfig, params: dict) -> dict:
-    """Linear de-patchify of the latent into per-modality frame stacks."""
-    out = {}
-    for modality in MODALITIES[: cfg.channels]:
-        tokens = f @ params[f"dec.{modality}.w"] + params[f"dec.{modality}.b"]
-        out[modality] = unpatchify(tokens, cfg.frames_in, cfg.height, cfg.width, cfg.patch)
-    return out
-
-
 def reconstruction_loss(
     f: np.ndarray,
     inputs: dict,

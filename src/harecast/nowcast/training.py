@@ -364,16 +364,15 @@ def make_predictor(model: Model, cfg: TrainConfig, base_rng: SeededRng):
     """Chunk predictor for rollout; decoders are never touched here."""
     state = {"calls": 0}
 
-    def predict_chunk(context: np.ndarray, x_sat: np.ndarray | None = None) -> np.ndarray:
-        f, _ = encode(context[None], None if x_sat is None else x_sat[None], model.enc_cfg, model.params)
+    def predict_chunk(context: np.ndarray) -> np.ndarray:
+        f, _ = encode(context[None], None, model.enc_cfg, model.params)
         state["calls"] += 1
         return sample_conditioned(model, f, cfg.sample_steps, base_rng.spawn(state["calls"]))[0]
 
     return predict_chunk
 
 
-def rollout(predict_chunk, x_context: np.ndarray, horizon: int, chunk: int, frames_in: int,
-            on_context=None) -> np.ndarray:
+def rollout(predict_chunk, x_context: np.ndarray, horizon: int, chunk: int, frames_in: int) -> np.ndarray:
     """Autoregressive forecast: predict a chunk, append, re-condition.
 
     x_context is (T_I, H, W); returns (horizon, H, W).  The context for
@@ -385,10 +384,7 @@ def rollout(predict_chunk, x_context: np.ndarray, horizon: int, chunk: int, fram
     history = [np.asarray(f, dtype=np.float64) for f in x_context]
     produced = []
     for _ in range(horizon // chunk):
-        context = np.stack(history[-frames_in:])
-        if on_context is not None:
-            on_context(context)
-        pred = predict_chunk(context)
+        pred = predict_chunk(np.stack(history[-frames_in:]))
         produced.extend(pred)
         history.extend(pred)
     return np.stack(produced)

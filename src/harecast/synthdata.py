@@ -55,7 +55,6 @@ class FrameSequence:
 
     frames: np.ndarray
     modality: str
-    dt_minutes: float = 5.0
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -65,8 +64,9 @@ class FrameSequence:
             raise ConfigError(f"unknown modality {self.modality!r}")
 
 
-def _gaussian_kernel(sigma: float, half: int = 2) -> np.ndarray:
-    ax = np.arange(-half, half + 1, dtype=np.float64)
+def _gaussian_kernel(sigma: float) -> np.ndarray:
+    """5 x 5 normalized Gaussian kernel."""
+    ax = np.arange(-2, 3, dtype=np.float64)
     g = np.exp(-(ax**2) / (2 * sigma**2))
     k = np.outer(g, g)
     return k / k.sum()

@@ -26,9 +26,6 @@ __all__ = [
     "analyze_trace",
 ]
 
-_FIELDS = ("run_id", "step", "batch_id", "layer", "head", "sample", "energy", "batch_csi_m")
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     run_id: str
@@ -114,9 +111,15 @@ class VarianceHeatmap:
 
 
 def _batch_grids(records) -> dict:
-    """Group records into per-batch (layer, head) -> sample energies maps."""
-    layers = 1 + max(r.layer for r in records)
-    heads = 1 + max(r.head for r in records)
+    """Per-batch (layer, head) cross-sample variance grids and batch CSI-M.
+
+    Indices must run 0..L-1 and 0..M-1 and every batch must hold every
+    cell; any other trace is a DataError, raised before a grid is allocated.
+    """
+    layers, heads = (len({getattr(r, axis) for r in records}) for axis in ("layer", "head"))
+    if not all(0 <= r.layer < layers and 0 <= r.head < heads for r in records):
+        raise DataError(f"trace layer and head indices must each run from 0 without gaps "
+                        f"({layers} distinct layers and {heads} distinct heads seen)")
     batches: dict = {}
     for r in records:
         batches.setdefault((r.run_id, r.step, r.batch_id), []).append(r)
@@ -128,6 +131,10 @@ def _batch_grids(records) -> dict:
             raise DataError(f"batch {key} carries inconsistent batch_csi_m values")
         for r in recs:
             cells.setdefault((r.layer, r.head), []).append((r.sample, r.energy))
+        if len(cells) < layers * heads:
+            raise DataError(
+                f"batch {key} holds {len(cells)} of the {layers * heads} (layer, head) cells"
+            )
         grid = np.zeros((layers, heads))
         for (layer, head), entries in cells.items():
             if len(entries) < 2:

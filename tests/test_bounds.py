@@ -7,12 +7,10 @@ from harecast import bounds
 from harecast.attention import LinearHead
 from harecast.bounds import (
     DistributionSpec,
-    attention_pushforward_map,
     check_lemma1,
     check_lemma2,
     check_theorem1,
     draw_samples,
-    estimate_cf,
     linear_map,
     matched_variance_targets,
     render_report,
@@ -61,6 +59,15 @@ class TestTotalVariance:
     def test_matches_two_pass_oracle(self):
         x = SeededRng(8).normal((500, 4)) * 2.0 + 1.0
         assert total_variance(x) == pytest.approx(two_pass_total_variance(list(x)), rel=1e-12)
+
+    def test_attention_cloud_matches_two_pass_oracle(self):
+        x = draw_samples(DistributionSpec(kind="attention_pushforward", dim=6, n=5_000, seed=12))
+        assert total_variance(x) == pytest.approx(two_pass_total_variance(list(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", (2, 5))
+    def test_attention_cloud_needs_even_dim_of_four(self, dim):
+        with pytest.raises(ConfigError, match="even dim >= 4"):
+            DistributionSpec(kind="attention_pushforward", dim=dim, n=10, seed=0)
 
 
 class TestBitwiseReferences:
@@ -116,27 +123,6 @@ class TestBitwiseReferences:
         for got, want in zip(fast, sweep_statistics(y, yhat), strict=True):
             assert got.shape == (trials,)
             assert_bitwise(got, want)
-
-
-class TestEstimateCf:
-    def test_doubling_map(self):
-        x = draw_samples(DistributionSpec(kind="gaussian", dim=3, n=100_000, seed=10))
-        assert estimate_cf(linear_map(2.0 * np.eye(3)), x) == pytest.approx(2.0, abs=0.01)
-
-    def test_identity_map(self):
-        x = draw_samples(DistributionSpec(kind="gaussian", dim=3, n=100_000, seed=11))
-        assert estimate_cf(lambda z: z, x) == pytest.approx(1.0, abs=0.01)
-
-    def test_attention_block_matches_two_pass_oracle(self):
-        fmap = attention_pushforward_map(dim=6, seed=3)
-        x = draw_samples(DistributionSpec(kind="gaussian", dim=6, n=5_000, seed=12))
-        fx = fmap(x)
-        want = np.sqrt(two_pass_total_variance(list(fx)) / two_pass_total_variance(list(x)))
-        assert estimate_cf(fmap, x) == pytest.approx(want, abs=1e-6)
-
-    def test_degenerate_input(self):
-        with pytest.raises(DegenerateInputError):
-            estimate_cf(lambda z: z, np.ones((10, 2)))
 
 
 class TestLemma1:
@@ -209,6 +195,8 @@ class TestTheorem1:
         res = check_theorem1(x, fmap, head, x, check_reduced_forms=True)
         assert not res.refused
         by_name = {r.name: r for r in res.reports}
+        # Doubling scales every moment exactly, so the empirical c_F is exact.
+        assert by_name["mse_vs_target_variance"].constants["c_F"] == 2.0
         full = by_name["mse_vs_target_variance"]
         assert full.holds
         assert full.lhs == pytest.approx(full.rhs, rel=1e-9)  # exact on moments

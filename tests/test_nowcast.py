@@ -28,7 +28,6 @@ from harecast.nowcast.model import (
     encode,
     init_encoder_params,
     patchify,
-    reconstruct,
     reconstruction_loss,
     unpatchify,
 )
@@ -118,6 +117,12 @@ class TestEncode:
             EncoderConfig(height=30, width=32, frames_in=2, patch=8, dim=8, layers=1, heads=2)
 
 
+def decode_radar(f, cfg, params):
+    """The radar decoder written out: linear de-patchify of the latent."""
+    tokens = f @ params["dec.radar.w"] + params["dec.radar.b"]
+    return unpatchify(tokens, cfg.frames_in, cfg.height, cfg.width, cfg.patch)
+
+
 class TestReconstruct:
     def test_constructed_inverse_round_trip(self):
         # d == P^2, identity embedding, zero blocks: decoding is exact.
@@ -129,8 +134,7 @@ class TestReconstruct:
         params["dec.radar.w"] = np.eye(16)
         x = SeededRng(8).uniform((2, 2, 8, 8))
         f, _ = encode(x, None, cfg, params)
-        recon = reconstruct(f, cfg, params)
-        np.testing.assert_allclose(recon["radar"], x, atol=1e-12)
+        np.testing.assert_allclose(decode_radar(f, cfg, params), x, atol=1e-12)
         loss, _, _ = reconstruction_loss(f, {"radar": x}, cfg, params)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
@@ -141,8 +145,7 @@ class TestReconstruct:
         f, _ = encode(x, None, cfg, params)
         loss, _, grad_f = reconstruction_loss(f, {"radar": x}, cfg, params)
         assert grad_f is None  # no grads registry, no backward
-        recon = reconstruct(f, cfg, params)["radar"]
-        oracle = float(np.mean((recon - x) ** 2))
+        oracle = float(np.mean((decode_radar(f, cfg, params) - x) ** 2))
         assert loss == pytest.approx(oracle, abs=1e-12)
 
     def test_unimodal_has_single_decoder(self):
@@ -150,7 +153,9 @@ class TestReconstruct:
         params = init_encoder_params(cfg, SeededRng(11), cond_dim=4)
         assert "dec.satellite.w" not in params
         f, _ = encode(SeededRng(12).uniform((1, 2, 16, 16)), None, cfg, params)
-        assert set(reconstruct(f, cfg, params)) == {"radar"}
+        # Only the radar decoder runs, so no satellite input is needed.
+        loss, _, _ = reconstruction_loss(f, {"radar": np.zeros((1, 2, 16, 16))}, cfg, params)
+        assert np.isfinite(loss)
 
 
 class TestSchedule:
@@ -161,10 +166,6 @@ class TestSchedule:
         assert np.all(np.diff(sched.betas) > 0)
         assert np.all(np.diff(sched.alpha_bars) < 0)
         assert sched.alpha_bars[0] == pytest.approx(1.0, abs=1e-3)
-
-    def test_bad_endpoints_rejected(self):
-        with pytest.raises(ConfigError):
-            make_schedule(10, beta_start=0.02, beta_end=1e-4)
 
     def test_noise_budget_conservation(self):
         # E||x_t||^2 = abar_t ||y||^2 + (1 - abar_t) * dim over noise draws.
@@ -246,6 +247,9 @@ class TestConv:
     @pytest.mark.parametrize("hw", [(32, 32), (16, 16), (7, 9), (8, 6)], ids=lambda hw: "%dx%d" % hw)
     @pytest.mark.parametrize("stride", [1, 2])
     def test_bitwise_the_padded_window_conv(self, stride, hw, bsz, cin=5, cout=6):
+        # Bit-identity holds for cout >= 2 only: a one-output-channel tap
+        # product goes to BLAS gemv, whose tail columns depend on the row
+        # length, and differs at roundoff at some sizes (e.g. 12x12 stride 2).
         rng = np.random.default_rng([stride, *hw, bsz])
         x = rng.normal(size=(bsz, cin) + hw)
         w = rng.normal(size=(cout, cin * 9))
@@ -369,8 +373,12 @@ class TestRollout:
         ctx = SeededRng(26).uniform((2, 8, 8))
         contexts = []
         pred = SeededRng(27).uniform((2, 8, 8))
-        rollout(lambda c: pred.copy(), ctx, horizon=4, chunk=2, frames_in=2,
-                on_context=contexts.append)
+
+        def predict(context):
+            contexts.append(context)
+            return pred.copy()
+
+        rollout(predict, ctx, horizon=4, chunk=2, frames_in=2)
         assert len(contexts) == 2
         np.testing.assert_array_equal(contexts[0], ctx)
         np.testing.assert_array_equal(contexts[1], pred)  # frames_in == chunk here
@@ -435,6 +443,27 @@ class TestTraining:
             assert getattr(fwd, name) == getattr(full, name), name
         assert (full.hare != 0.0) == hare_enabled
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_masked_objective_against_all_ones(self, fraction):
+        cfg = micro_cfg()
+        model = build_model(cfg)
+        specs, _, _ = make_split(cfg.seed, 4, 2, 2, 16, 16)
+        data = render_dataset(specs, cfg)
+        draws = FrozenDraws(t=np.array([5, 300, 700, 999]),
+                            eps=SeededRng(38).normal(data["y_future"].shape))
+        full = objective(model, data, draws, cfg, hare_enabled=True)
+        masked_cfg = micro_cfg(mask_strategy="top_fraction_by_sample_loss", mask_fraction=fraction)
+        masked = objective(model, data, draws, masked_cfg, hare_enabled=True)
+        if fraction == 1.0:
+            # Every sample is kept: the masked loss is the all-ones loss, bit for bit.
+            assert_bitwise([masked.total, masked.hare], [full.total, full.hare])
+            for name in full.grads:
+                assert_bitwise(masked.grads[name], full.grads[name])
+        else:
+            # ReLU terms are >= 0 and mu_g uses the full batch, so dropping
+            # samples can only lower the penalty.
+            assert masked.hare <= full.hare
+
     def test_objective_gradient_matches_finite_differences(self):
         for seed in (0, 1):
             rep = objective_gradcheck(seed, hare_only=False)
@@ -452,7 +481,6 @@ class TestTraining:
         import harecast.nowcast.model as model_mod
         import harecast.nowcast.training as training_mod
 
-        monkeypatch.setattr(model_mod, "reconstruct", bomb)
         monkeypatch.setattr(model_mod, "reconstruction_loss", bomb)
         monkeypatch.setattr(training_mod, "reconstruction_loss", bomb)
         predict = make_predictor(model, cfg, SeededRng(33))

@@ -146,3 +146,14 @@ def test_train_toy_flags_are_the_config_fields(capsys):
     offered = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
     fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
     assert offered == fields | {"--config", "--out"}
+
+
+def test_benchmark_units_run_clean(monkeypatch):
+    """Every benchmark unit sets up and runs two checked ops on the current API."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads.UNITS["verify_theory"], "trials", 200)
+    for name, unit in workloads.UNITS.items():
+        st = unit.setup(3)
+        for i in range(2):
+            assert unit.check(st, i, unit.op(st, i)) == [], name

@@ -98,6 +98,23 @@ class TestTraceIO:
         with pytest.raises(DataError, match="non-finite"):
             rec(**{field: float("nan")}).to_line()
 
+    @pytest.mark.parametrize("records,match", [
+        # only layer 3, head 2: the other 11 cells of a 4 x 3 grid were never traced
+        ([rec(layer=3, head=2, sample=s) for s in (0, 1)], "indices must each run from 0 without gaps"),
+        # batch 1 lacks cell (layer 1, head 1), which batch 0 has
+        ([r for r in small_trace() if (r.batch_id, r.layer, r.head) != (1, 1, 1)], "holds 3 of the 4"),
+    ], ids=["sparse_indices", "missing_cell"])
+    def test_incomplete_grid_rejected(self, tmp_path, capsys, records, match):
+        p = tmp_path / "t.jsonl"
+        write_trace(p, records)
+        with pytest.raises(DataError, match=match):
+            analyze_trace(read_trace(p))
+        csv = tmp_path / "hm.csv"
+        assert main(["analyze", "--input", str(p), "--out-csv", str(csv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not csv.exists()
+
 
 class TestAnalyze:
     def test_order_independence(self):
@@ -143,7 +160,10 @@ class TestAnalyze:
         assert grid[1, 1] == pytest.approx(3.0, abs=1e-12)
 
     def test_split_requires_csi_everywhere(self):
-        records = small_trace() + [rec(batch=7, sample=0), rec(batch=7, sample=1)]
+        records = small_trace() + [
+            rec(batch=7, layer=layer, head=head, sample=sample)
+            for layer in range(2) for head in range(2) for sample in range(2)
+        ]
         with pytest.raises(ConfigError):
             analyze_trace(records, split_by_csi=True)
 
@@ -558,6 +578,7 @@ class TestCliFuzz:
     @example(b"\x80")
     @example(trace_lines(*(dict(zip(TRACE_KEYS, ["r", 0, 0, -1, 0, s, 1.0, 0.5])) for s in (0, 1))))
     @example(trace_lines(dict(zip(TRACE_KEYS, ["r", math.inf, 0, 0, 0, 0, 1.0]))))
+    @example(trace_lines(*(dict(zip(TRACE_KEYS, ["r", 0, 0, 10**9, 0, s, 1.0, 0.5])) for s in (0, 1))))
     def test_analyze_trace_file(self, blob):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.jsonl"
