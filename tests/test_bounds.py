@@ -125,6 +125,21 @@ class TestBitwiseReferences:
             assert_bitwise(got, want)
 
 
+class TestEstimateCf:
+    """The empirical c_F = sqrt(Var(F(X)) / Var(X)) that check_theorem1 reports."""
+
+    def test_doubling_map(self):
+        x = draw_samples(DistributionSpec(kind="gaussian", dim=3, n=100_000, seed=10))
+        res = check_theorem1(x, linear_map(2.0 * np.eye(3)), LinearHead.from_matrix(np.eye(3)), x)
+        assert not res.refused
+        assert res.reports[0].constants["c_F"] == pytest.approx(2.0, abs=0.01)
+
+    def test_degenerate_input(self):
+        x = np.ones((10, 2))
+        with pytest.raises(DegenerateInputError):
+            check_theorem1(x, lambda z: z, LinearHead.from_matrix(np.eye(2)), x)
+
+
 class TestLemma1:
     def test_scaled_identity_saturates(self):
         f = draw_samples(DistributionSpec(kind="gaussian", dim=3, n=20_000, seed=1))
