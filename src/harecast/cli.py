@@ -56,12 +56,33 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def check_output_path(flag: str, path, directory: bool = False) -> None:
+    """Fail before any work if `path` cannot be written as a file or directory.
+
+    Creates nothing: an existing `path` must be of the wanted kind, and its
+    nearest existing ancestor must be a directory.  Raises DataError (exit 3)
+    naming the flag and the path.
+    """
+    path = Path(path)
+    if path.exists():
+        if path.is_dir() != directory:
+            kind = "is not a directory" if directory else "is a directory"
+            raise DataError(f"{flag} {path}: {kind}")
+        return
+    parent = next((p for p in path.parents if p.exists()), None)
+    if parent is not None and not parent.is_dir():
+        raise DataError(f"{flag} {path}: {parent} is not a directory")
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
 
 def cmd_analyze(args) -> int:
+    for flag, path in (("--out-csv", args.out_csv), ("--out-svg", args.out_svg)):
+        if path:
+            check_output_path(flag, path)
     records = read_trace(args.input)
     heatmaps = analyze_trace(records, split_by_csi=args.split_by_csi, per_batch=args.per_batch)
     rows = []
@@ -90,6 +111,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
+    if args.report:
+        check_output_path("--report", args.report)
     suite = run_verification_suite(trials=args.trials, seed=args.seed, rhs_scale=args.rhs_scale)
     text = render_report(suite)
     if args.report:
@@ -153,6 +176,7 @@ def build_train_config(args) -> TrainConfig:
 
 def cmd_train_toy(args) -> int:
     cfg = build_train_config(args)
+    check_output_path("--out", args.out, directory=True)
     # Divergence is reported once, by train's DivergenceError, not by numpy.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         result = train(cfg)
@@ -201,6 +225,11 @@ def _load_frames(path: Path) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     pred_dir, truth_dir = Path(args.pred), Path(args.truth)
+    for flag, path in (("--pred", pred_dir), ("--truth", truth_dir)):
+        if not path.is_dir():
+            raise DataError(f"{flag} {path}: {'is not a directory' if path.exists() else 'does not exist'}")
+    if args.out_csv:
+        check_output_path("--out-csv", args.out_csv)
     preds = {p.name: p for p in sorted(pred_dir.glob("*.bin"))}
     truths = {p.name: p for p in sorted(truth_dir.glob("*.bin"))}
     if set(preds) != set(truths):

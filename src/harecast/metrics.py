@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import ConfigError, ShapeError
 
@@ -194,6 +193,9 @@ def paired_t_test(scores_a, scores_b) -> TTestResult:
     Zero-variance differences yield a degenerate flag instead of a
     statistic.
     """
+    # Imported here: loading scipy.special roughly doubles `import harecast`.
+    from scipy.special import stdtr
+
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

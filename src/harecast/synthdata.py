@@ -72,17 +72,24 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _blur_shift(frame: np.ndarray) -> np.ndarray:
+def _blur_shift(frames: np.ndarray) -> np.ndarray:
+    """Blur a (T, H, W) stack with the 5 x 5 kernel, then shift it by SAT_OFFSET.
+
+    The stack is zero-padded once; each tap adds into the shifted output
+    window directly, so pixels shifted off the grid are never computed.
+    """
     k = _gaussian_kernel(SAT_BLUR_SIGMA)
     half = k.shape[0] // 2
-    padded = np.pad(frame, half, mode="constant")
-    out = np.zeros_like(frame)
+    t_len, height, width = frames.shape
+    padded = np.zeros((t_len, height + 2 * half, width + 2 * half))
+    padded[:, half:half + height, half:half + width] = frames
+    shifted = np.zeros_like(frames)
+    oy, ox = SAT_OFFSET
+    out = shifted[:, oy:, ox:]
+    h, w = out.shape[1:]
     for dy in range(k.shape[0]):
         for dx in range(k.shape[1]):
-            out += k[dy, dx] * padded[dy:dy + frame.shape[0], dx:dx + frame.shape[1]]
-    shifted = np.zeros_like(out)
-    oy, ox = SAT_OFFSET
-    shifted[oy:, ox:] = out[: out.shape[0] - oy, : out.shape[1] - ox]
+            out += k[dy, dx] * padded[:, dy:dy + h, dx:dx + w]
     return shifted
 
 
@@ -99,16 +106,15 @@ def generate_event(spec: EventSpec, t_len: int, height: int, width: int):
             raise ConfigError(f"blob center {b.center} outside {height}x{width} domain at t=0")
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
+    steps = np.arange(t_len)[:, None, None]
     radar = np.zeros((t_len, height, width))
-    for t in range(t_len):
-        acc = np.zeros((height, width))
-        for b in spec.blobs:
-            cy = b.center[0] + t * b.velocity[0]
-            cx = b.center[1] + t * b.velocity[1]
-            amp = b.amplitude * np.exp(b.growth * t)
-            acc += amp * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2 * b.radius**2))
-        radar[t] = np.clip(acc, 0.0, 1.0)
-    sat = np.clip(np.stack([_blur_shift(f) for f in radar]), 0.0, 1.0)
+    for b in spec.blobs:
+        cy = b.center[0] + steps * b.velocity[0]
+        cx = b.center[1] + steps * b.velocity[1]
+        amp = b.amplitude * np.exp(b.growth * steps)
+        radar += amp * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2 * b.radius**2))
+    np.clip(radar, 0.0, 1.0, out=radar)
+    sat = np.clip(_blur_shift(radar), 0.0, 1.0)
     return (
         FrameSequence(frames=radar, modality="radar"),
         FrameSequence(frames=sat, modality="satellite"),

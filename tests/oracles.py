@@ -10,8 +10,9 @@ operations in a faster order of passes, so tests require bit-equal results,
 and a NumPy release that changes a reduction's summation order fails a
 named test instead of silently changing the verification report.  The
 hand-written denoiser (every stage spelled out) pins the stage-table
-denoiser the same way, and the padded-window convolution pins the flat
-polyphase convolution.
+denoiser the same way, the padded-window convolution pins the flat
+polyphase convolution, and the frame-by-frame renderer pins the
+whole-stack event renderer.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from harecast.nowcast.convnet import (
     upsample2_forward,
 )
 from harecast.nowcast.model import block_params
+from harecast.synthdata import SAT_BLUR_SIGMA, SAT_OFFSET
 
 
 def naive_mha(x, wq, wk, wv, wo, bq, bk, bv, bo, heads):
@@ -469,3 +471,42 @@ def reference_conv2d_backward(grad_out, w, cache, first_grad_channel=0):
         grad_w[:, :, k] = np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
         grad_pad[window] += (taps[:, first_grad_channel:, k].T @ g).reshape(bsz, -1, ho, wo)
     return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_pad[:, :, 1:-1, 1:-1]
+
+
+# ---------------------------------------------------------------------------
+# Bitwise reference for the event renderer: one frame at a time, each frame
+# blurred through np.pad and shifted on its own.
+# ---------------------------------------------------------------------------
+
+
+def _reference_blur_shift(frame):
+    ax = np.arange(-2, 3, dtype=np.float64)
+    g = np.exp(-(ax**2) / (2 * SAT_BLUR_SIGMA**2))
+    k = np.outer(g, g)
+    k = k / k.sum()
+    padded = np.pad(frame, 2, mode="constant")
+    out = np.zeros_like(frame)
+    for dy in range(5):
+        for dx in range(5):
+            out += k[dy, dx] * padded[dy:dy + frame.shape[0], dx:dx + frame.shape[1]]
+    shifted = np.zeros_like(out)
+    oy, ox = SAT_OFFSET
+    shifted[oy:, ox:] = out[: out.shape[0] - oy, : out.shape[1] - ox]
+    return shifted
+
+
+def reference_generate_event(spec, t_len, height, width):
+    """(radar, satellite) (T, H, W) stacks of generate_event, frame by frame."""
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    cols = np.arange(width, dtype=np.float64)[None, :]
+    radar = np.zeros((t_len, height, width))
+    for t in range(t_len):
+        acc = np.zeros((height, width))
+        for b in spec.blobs:
+            cy = b.center[0] + t * b.velocity[0]
+            cx = b.center[1] + t * b.velocity[1]
+            amp = b.amplitude * np.exp(b.growth * t)
+            acc += amp * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2 * b.radius**2))
+        radar[t] = np.clip(acc, 0.0, 1.0)
+    sat = np.clip(np.stack([_reference_blur_shift(f) for f in radar]), 0.0, 1.0)
+    return radar, sat

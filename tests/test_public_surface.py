@@ -7,8 +7,11 @@ a deletion that would break an import or the traced run fails here first.
 
 import dataclasses
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -157,3 +160,20 @@ def test_benchmark_units_run_clean(monkeypatch):
         st = unit.setup(3)
         for i in range(2):
             assert unit.check(st, i, unit.op(st, i)) == [], name
+
+
+def test_import_loads_no_scipy():
+    """scipy loads on the first paired_t_test call, not on import."""
+    code = (
+        "import sys\n"
+        "import harecast.cli, harecast.nowcast.training\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "from harecast.metrics import paired_t_test\n"
+        "print(repr(paired_t_test([2, 2, 2, 0], [1, 1, 1, 1]).p))\n"
+    )
+    src = str(Path(harecast.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    loaded, p = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(p) == 0.3910022189557705

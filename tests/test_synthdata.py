@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_generate_event
 
 from harecast.errors import ConfigError
 from harecast.synthdata import (
@@ -70,6 +71,36 @@ class TestGenerateEvent:
         high, _ = generate_event(single_blob_event(amplitude=0.9), 3, 32, 32)
         thr = 0.3
         assert np.sum(high.frames > thr) > np.sum(low.frames > thr)
+
+
+class TestBitwiseReference:
+    """The whole-stack renderer equals the frame-by-frame one bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(spec, t_len, height, width):
+        radar, sat = generate_event(spec, t_len, height, width)
+        ref_radar, ref_sat = reference_generate_event(spec, t_len, height, width)
+        for got, want in ((radar.frames, ref_radar), (sat.frames, ref_sat)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(25, 32, 32), (45, 32, 32), (7, 16, 24), (1, 8, 8)])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2024, 90210])
+    def test_random_events(self, shape, seed):
+        t_len, height, width = shape
+        self.assert_bitwise(random_event_spec(seed, height, width), t_len, height, width)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_random_seeds(self, seed):
+        self.assert_bitwise(random_event_spec(seed, 32, 32), 25, 32, 32)
+
+    @pytest.mark.parametrize("spec", [
+        single_blob_event(growth=0.0, velocity=(0.7, -0.4)),
+        single_blob_event(amplitude=0.0, growth=0.03),
+    ], ids=["zero_growth", "zero_amplitude"])
+    def test_degenerate_specs(self, spec):
+        self.assert_bitwise(spec, 25, 32, 32)
 
 
 class TestMakeSplit:

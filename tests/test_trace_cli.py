@@ -294,6 +294,44 @@ class TestCliCommands:
         assert err.startswith("error: training diverged") and where in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,target", [
+        ("train-toy", "--out", "file"),
+        ("train-toy", "--out", "file/sub"),
+        ("verify-theory", "--report", "file/report.txt"),
+        ("verify-theory", "--report", "dir"),
+    ])
+    def test_unwritable_output_fails_before_work(self, tmp_path, capsys, monkeypatch, command, flag, target):
+        monkeypatch.setattr(cli, "train", lambda *args, **kw: pytest.fail("trained"))
+        monkeypatch.setattr(cli, "run_verification_suite", lambda *args, **kw: pytest.fail("suite ran"))
+        (tmp_path / "file").write_text("taken")
+        (tmp_path / "dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        path = tmp_path / target
+        argv = [command, flag, str(path)] + (MICRO if command == "train-toy" else ["--trials", "50"])
+        assert self.run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {path}: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["analyze", "eval"])
+    def test_unwritable_second_output_writes_nothing(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("taken")
+        if command == "analyze":
+            write_trace(tmp_path / "t.jsonl", small_trace())
+            argv = ["analyze", "--input", str(tmp_path / "t.jsonl"), "--out-csv", str(tmp_path / "hm.csv"),
+                    "--out-svg", str(tmp_path / "file" / "hm.svg")]
+            flag, path = "--out-svg", tmp_path / "file" / "hm.svg"
+        else:
+            pred_dir, truth_dir = TestCliEval().make_dirs(tmp_path)
+            argv = ["eval", "--pred", str(pred_dir), "--truth", str(truth_dir),
+                    "--out-csv", str(tmp_path / "file" / "m.csv")]
+            flag, path = "--out-csv", tmp_path / "file" / "m.csv"
+        before = sorted(tmp_path.rglob("*"))
+        assert self.run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {path}: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("key,raw", [("steps", "abc"), ("steps", "1.5"), ("learning_rate", "fast")])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_non_numeric_value_rejected(self, tmp_path, capsys, key, raw, route):
@@ -468,6 +506,22 @@ class TestCliEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "e1.bin" in err and err.count("\n") == 1
         assert not csv.exists()
+
+    @pytest.mark.parametrize("flag,target", [("--pred", "missing"), ("--truth", "missing"),
+                                             ("--pred", "e0.bin"), ("--truth", "e0.bin")])
+    def test_missing_or_non_directory_input_is_io_error(self, tmp_path, capsys, flag, target):
+        pred_dir, truth_dir = self.make_dirs(tmp_path)
+        dirs = {"--pred": pred_dir, "--truth": truth_dir}
+        dirs[flag] = dirs[flag] / target
+        assert main(["eval", "--pred", str(dirs["--pred"]), "--truth", str(dirs["--truth"])]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {dirs[flag]}: ") and err.count("\n") == 1
+
+    def test_empty_input_directories_are_usage_error(self, tmp_path, capsys):
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "truth").mkdir()
+        assert main(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth")]) == 2
+        assert capsys.readouterr().err.startswith("error: no .bin files found in")
 
     def test_frame_sizes_differ_across_files(self, tmp_path, capsys):
         pred_dir, truth_dir = self.make_dirs(tmp_path)
