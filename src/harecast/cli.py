@@ -4,9 +4,10 @@ Subcommands: analyze (trace -> variance heatmaps), verify-theory
 (Monte-Carlo bound suite), train-toy (toy trainer), eval (forecast
 metrics over prediction/truth directories), gradcheck (finite-difference
 verification).  Exit codes: 0 success, 1 verification failure,
-2 usage/config error or a diverged training run, 3 I/O error; each
-failure prints one "error:" line.  train-toy has one flag per TrainConfig
-field; --lambda-hare 0 and --grouping false are its two ablations.
+2 usage/config error, a request too large for memory or a diverged
+training run, 3 I/O error; each failure prints one "error:" line.
+train-toy has one flag per TrainConfig field; --lambda-hare 0 and
+--grouping false are its two ablations.
 Identical arguments and seeds produce byte-identical artifacts.
 """
 
@@ -94,10 +95,7 @@ def cmd_analyze(args) -> int:
     if args.out_csv:
         write_csv(args.out_csv, ("group", "layer", "head", "variance"), rows)
     if args.out_svg:
-        svg = heatmap_svg(
-            [(hm.label, hm.grid) for hm in heatmaps],
-            title="cross-sample energy variance",
-        )
+        svg = heatmap_svg([(hm.label, hm.grid) for hm in heatmaps])
         Path(args.out_svg).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out_svg).write_text(svg, encoding="utf-8", newline="\n")
     for hm in heatmaps:
@@ -346,15 +344,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        message, code = exc, EXIT_IO
     except HarecastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message, code = exc, EXIT_USAGE
+    except MemoryError as exc:
+        message, code = f"{args.command}: out of memory: {exc}", EXIT_USAGE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 GROUP_NAMES = ("strong", "contextual", "weak")
+MASK_STRATEGIES = ("all_ones", "top_fraction_by_sample_loss")
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,10 @@ class HareConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.mask_strategy not in ("all_ones", "top_fraction_by_sample_loss"):
-            raise ConfigError(f"unknown mask strategy {self.mask_strategy!r}")
+        if self.mask_strategy not in MASK_STRATEGIES:
+            raise ConfigError(
+                f"mask_strategy must be one of {', '.join(MASK_STRATEGIES)}, got {self.mask_strategy!r}"
+            )
         if not (0.0 < self.mask_fraction <= 1.0):
             raise ConfigError(f"mask_fraction must be in (0,1], got {self.mask_fraction}")
 

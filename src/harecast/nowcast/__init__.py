@@ -1,5 +1,5 @@
 """Toy energy-regulated nowcasting: encoder, decoders, diffusion, training."""
 
-from .model import EncoderConfig, encode  # noqa: F401
+from .model import encode  # noqa: F401
 from .diffusion import DiffusionSchedule, make_schedule, ddim_sample  # noqa: F401
 from .training import TrainConfig, train, rollout  # noqa: F401

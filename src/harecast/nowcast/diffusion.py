@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..attention import AttentionConfig, AttentionParams, mha_backward, mha_forward
+from ..attention import AttentionParams, mha_backward, mha_forward
 from ..errors import ConfigError, ShapeError
 from ..tensor_core import SeededRng
 from .convnet import (
@@ -30,6 +31,9 @@ from .convnet import (
     upsample2_forward,
 )
 from .model import block_params
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -50,46 +54,19 @@ def make_schedule(steps: int = 1000) -> DiffusionSchedule:
     return DiffusionSchedule(betas=betas, alpha_bars=np.cumprod(1.0 - betas))
 
 
-@dataclass(frozen=True)
-class DenoiserConfig:
-    out_channels: int  # predicted frames, as channels
-    cond_dim: int
-    base: int = 8
-    mid: int = 16
-    bottleneck: int = 16
-    heads: int = 2
-    time_dim: int = 8
-
-    def __post_init__(self):
-        if self.heads < 1:
-            raise ConfigError(f"denoiser heads must be >= 1, got {self.heads}")
-        if self.bottleneck % self.heads:
-            raise ConfigError("bottleneck channels must divide across heads")
-        # The sinusoidal embedding has 2 * (time_dim // 2) columns.
-        if self.time_dim < 2 or self.time_dim % 2:
-            raise ConfigError(f"time_dim must be a positive even number, got {self.time_dim}")
-
-    @property
-    def in_channels(self) -> int:
-        return self.out_channels + self.cond_dim
-
-    @property
-    def attention(self) -> AttentionConfig:
-        return AttentionConfig(model_dim=self.bottleneck, heads=self.heads)
-
-
 # The denoiser in forward order: (name, in channels, out channels, stride,
-# time key), channels naming DenoiserConfig fields.  Stages with a time key
-# form the down path (conv, plus time projection, tanh), the last feeding the
-# bottleneck attention; later stages upsample 2x, conv, tanh and add the
-# mirrored skip, and the final one is linear.
+# time key), channels naming TrainConfig attributes; the predicted frames are
+# the output channels.  Stages with a time key form the down path (conv, plus
+# time projection, tanh), the last feeding the bottleneck attention; later
+# stages upsample 2x, conv, tanh and add the mirrored skip, and the final one
+# is linear.
 DENOISER_STAGES = (
-    ("in", "in_channels", "base", 1, "t1"),
-    ("d1", "base", "mid", 2, "t2"),
-    ("d2", "mid", "bottleneck", 2, "t3"),
-    ("u1", "bottleneck", "mid", 1, None),
-    ("u2", "mid", "base", 1, None),
-    ("out", "base", "out_channels", 1, None),
+    ("in", "den_in", "den_base", 1, "t1"),
+    ("d1", "den_base", "den_mid", 2, "t2"),
+    ("d2", "den_mid", "den_bottleneck", 2, "t3"),
+    ("u1", "den_bottleneck", "den_mid", 1, None),
+    ("u2", "den_mid", "den_base", 1, None),
+    ("out", "den_base", "frames_out", 1, None),
 )
 _DOWN = tuple(stage for stage in DENOISER_STAGES if stage[4] is not None)
 _UP = DENOISER_STAGES[len(_DOWN):-1]
@@ -97,7 +74,7 @@ _OUT = DENOISER_STAGES[-1]
 SIZE_MULTIPLE = math.prod(stage[3] for stage in DENOISER_STAGES)
 
 
-def init_denoiser_params(cfg: DenoiserConfig, rng: SeededRng) -> dict:
+def init_denoiser_params(cfg: TrainConfig, rng: SeededRng) -> dict:
     p, streams = {}, itertools.count(1)
     for name, cin, cout, _, tkey in DENOISER_STAGES:
         cin, cout = getattr(cfg, cin), getattr(cfg, cout)
@@ -106,7 +83,7 @@ def init_denoiser_params(cfg: DenoiserConfig, rng: SeededRng) -> dict:
         if tkey is not None:
             p[f"den.{tkey}.w"] = rng.spawn(next(streams)).normal((cfg.time_dim, cout)) / np.sqrt(cfg.time_dim)
             p[f"den.{tkey}.b"] = np.zeros(cout)
-    for name, arr in AttentionParams.init(cfg.attention, rng.spawn(11)).items():
+    for name, arr in AttentionParams.init(cfg.den_attention, rng.spawn(11)).items():
         p[f"den.attn.{name}"] = arr
     return p
 
@@ -119,12 +96,12 @@ class DenoiserCache:
     attn_cache: object
 
 
-def denoiser_forward(x_t, t, cond, cfg: DenoiserConfig, params: dict):
+def denoiser_forward(x_t, t, cond, cfg: TrainConfig, params: dict):
     """Predict the injected noise from (noisy frames, step, conditioning)."""
     x_t = np.asarray(x_t, dtype=np.float64)
     bsz, c, h, w = x_t.shape
-    if c != cfg.out_channels:
-        raise ShapeError(f"expected {cfg.out_channels} frame channels, got {c}")
+    if c != cfg.frames_out:
+        raise ShapeError(f"expected {cfg.frames_out} frame channels, got {c}")
     if h % SIZE_MULTIPLE or w % SIZE_MULTIPLE:
         raise ShapeError(f"spatial dims {(h, w)} must be divisible by {SIZE_MULTIPLE}")
     cond = np.asarray(cond, dtype=np.float64)
@@ -145,7 +122,7 @@ def denoiser_forward(x_t, t, cond, cfg: DenoiserConfig, params: dict):
     skips.pop()  # the bottleneck output is not a skip
 
     tokens = x.reshape(bsz, x.shape[1], -1).transpose(0, 2, 1)
-    att_y, attn_cache = mha_forward(tokens, cfg.attention, block_params(params, "den.attn"))
+    att_y, attn_cache = mha_forward(tokens, cfg.den_attention, block_params(params, "den.attn"))
     x = x + att_y.transpose(0, 2, 1).reshape(x.shape)
 
     for name, _, _, stride, _ in _UP:
@@ -155,7 +132,7 @@ def denoiser_forward(x_t, t, cond, cfg: DenoiserConfig, params: dict):
     return eps_hat, DenoiserCache(temb=temb, convs=convs, tanhs=tanhs, attn_cache=attn_cache)
 
 
-def denoiser_backward(grad_eps, cfg: DenoiserConfig, params: dict, cache: DenoiserCache, grads: dict):
+def denoiser_backward(grad_eps, cfg: TrainConfig, params: dict, cache: DenoiserCache, grads: dict):
     """Accumulate denoiser grads; returns grad wrt the conditioning vector."""
     convs, tanhs = cache.convs, cache.tanhs
 
@@ -173,7 +150,7 @@ def denoiser_backward(grad_eps, cfg: DenoiserConfig, params: dict, cache: Denois
 
     g_tokens = g.reshape(*g.shape[:2], -1).transpose(0, 2, 1)
     att_grads, g_tok_in = mha_backward(
-        cfg.attention, block_params(params, "den.attn"), cache.attn_cache, g_tokens
+        cfg.den_attention, block_params(params, "den.attn"), cache.attn_cache, g_tokens
     )
     for name, arr in att_grads.items():
         grads[f"den.attn.{name}"] += arr
@@ -187,7 +164,7 @@ def denoiser_backward(grad_eps, cfg: DenoiserConfig, params: dict, cache: Denois
         if skip_grads:
             g = conv_back(name, g_pre) + skip_grads.pop()
     # Only the broadcast conditioning channels of the input get a gradient.
-    g_cond_map = conv_back(_DOWN[0][0], g_pre, first=cfg.out_channels)
+    g_cond_map = conv_back(_DOWN[0][0], g_pre, first=cfg.frames_out)
     return g_cond_map.sum(axis=(2, 3))
 
 
@@ -198,7 +175,7 @@ def noising(y01: np.ndarray, t: np.ndarray, eps: np.ndarray, sched: DiffusionSch
     return np.sqrt(ab) * y + np.sqrt(1.0 - ab) * eps
 
 
-def diffusion_loss(x_t, t, cond, eps, cfg: DenoiserConfig, params: dict, grads: dict | None = None):
+def diffusion_loss(x_t, t, cond, eps, cfg: TrainConfig, params: dict, grads: dict | None = None):
     """Noise-prediction MSE.
 
     Returns (loss, per_sample, g_cond).  With a grads registry supplied,

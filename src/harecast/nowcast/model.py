@@ -11,55 +11,18 @@ finite-difference harness all share one representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..attention import AttentionConfig, AttentionParams, mha_backward, mha_forward
+from ..attention import AttentionParams, mha_backward, mha_forward
 from ..errors import ConfigError, ShapeError
 from ..tensor_core import SeededRng, weight_grad
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 MODALITIES = ("radar", "satellite")
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    height: int
-    width: int
-    frames_in: int
-    patch: int
-    dim: int
-    layers: int
-    heads: int
-    mode: str = "unimodal"
-
-    def __post_init__(self):
-        if self.mode not in ("unimodal", "multimodal"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.patch < 1:
-            raise ConfigError(f"patch must be >= 1, got {self.patch}")
-        if self.height % self.patch or self.width % self.patch:
-            raise ConfigError(
-                f"spatial dims {(self.height, self.width)} not divisible by patch {self.patch}"
-            )
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        self.attention  # AttentionConfig validates dim and heads
-
-    @property
-    def channels(self) -> int:
-        return 2 if self.mode == "multimodal" else 1
-
-    @property
-    def tokens(self) -> int:
-        return self.frames_in * (self.height // self.patch) * (self.width // self.patch)
-
-    @property
-    def patch_vec(self) -> int:
-        return self.channels * self.patch * self.patch
-
-    @property
-    def attention(self) -> AttentionConfig:
-        return AttentionConfig(model_dim=self.dim, heads=self.heads)
 
 
 def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
@@ -70,35 +33,31 @@ def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     return out.transpose(0, 1, 2, 4, 3, 5).reshape(b, t * gy * gx, patch * patch)
 
 
-def unpatchify(tokens: np.ndarray, t: int, h: int, w: int, patch: int) -> np.ndarray:
-    b = tokens.shape[0]
-    gy, gx = h // patch, w // patch
-    out = tokens.reshape(b, t, gy, gx, patch, patch).transpose(0, 1, 2, 4, 3, 5)
-    return out.reshape(b, t, h, w)
-
-
 def block_params(params: dict, prefix: str) -> AttentionParams:
     return AttentionParams(**{k: params[f"{prefix}.{k}"] for k in
                               ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")})
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: SeededRng, cond_dim: int) -> dict:
+def init_encoder_params(cfg: TrainConfig, rng: SeededRng) -> dict:
+    """Embedding, attention blocks, one decoder per modality and the conditioning projection."""
+    modalities = MODALITIES[: 2 if cfg.mode == "multimodal" else 1]
+    pixels = cfg.patch * cfg.patch
+    patch_vec = len(modalities) * pixels
+    tokens = cfg.frames_in * (cfg.height // cfg.patch) * (cfg.width // cfg.patch)
     params = {
-        "enc.embed.w": rng.normal((cfg.patch_vec, cfg.dim)) / np.sqrt(cfg.patch_vec),
+        "enc.embed.w": rng.normal((patch_vec, cfg.dim)) / np.sqrt(patch_vec),
         "enc.embed.b": np.zeros(cfg.dim),
-        "enc.pos": 0.02 * rng.normal((cfg.tokens, cfg.dim)),
+        "enc.pos": 0.02 * rng.normal((tokens, cfg.dim)),
     }
     for layer in range(cfg.layers):
-        ap = AttentionParams.init(cfg.attention, rng.spawn(10 + layer))
+        ap = AttentionParams.init(cfg.enc_attention, rng.spawn(10 + layer))
         for name, arr in ap.items():
             params[f"enc.block{layer}.{name}"] = arr
-    params["dec.radar.w"] = rng.spawn(50).normal((cfg.dim, cfg.patch * cfg.patch)) / np.sqrt(cfg.dim)
-    params["dec.radar.b"] = np.zeros(cfg.patch * cfg.patch)
-    if cfg.mode == "multimodal":
-        params["dec.satellite.w"] = rng.spawn(51).normal((cfg.dim, cfg.patch * cfg.patch)) / np.sqrt(cfg.dim)
-        params["dec.satellite.b"] = np.zeros(cfg.patch * cfg.patch)
-    params["cond.w"] = rng.spawn(52).normal((cfg.dim, cond_dim)) / np.sqrt(cfg.dim)
-    params["cond.b"] = np.zeros(cond_dim)
+    for stream, modality in enumerate(modalities, start=50):
+        params[f"dec.{modality}.w"] = rng.spawn(stream).normal((cfg.dim, pixels)) / np.sqrt(cfg.dim)
+        params[f"dec.{modality}.b"] = np.zeros(pixels)
+    params["cond.w"] = rng.spawn(52).normal((cfg.dim, cfg.cond_dim)) / np.sqrt(cfg.dim)
+    params["cond.b"] = np.zeros(cfg.cond_dim)
     return params
 
 
@@ -109,7 +68,7 @@ class EncoderCache:
     acts: list  # HeadActivations per layer, for the energy statistics
 
 
-def encode(x_radar: np.ndarray, x_sat: np.ndarray | None, cfg: EncoderConfig, params: dict):
+def encode(x_radar: np.ndarray, x_sat: np.ndarray | None, cfg: TrainConfig, params: dict):
     """Token latent F (B, N, dim) plus per-layer activations.
 
     x_radar is (B, T_I, H, W); x_sat must be given exactly in multimodal
@@ -135,7 +94,7 @@ def encode(x_radar: np.ndarray, x_sat: np.ndarray | None, cfg: EncoderConfig, pa
     h = patches @ params["enc.embed.w"] + params["enc.embed.b"] + params["enc.pos"]
     block_caches = []
     for layer in range(cfg.layers):
-        y, cache = mha_forward(h, cfg.attention, block_params(params, f"enc.block{layer}"))
+        y, cache = mha_forward(h, cfg.enc_attention, block_params(params, f"enc.block{layer}"))
         h = h + y
         block_caches.append(cache)
     return h, EncoderCache(patches=patches, block_caches=block_caches,
@@ -143,7 +102,7 @@ def encode(x_radar: np.ndarray, x_sat: np.ndarray | None, cfg: EncoderConfig, pa
 
 
 def encode_backward(
-    cfg: EncoderConfig,
+    cfg: TrainConfig,
     params: dict,
     cache: EncoderCache,
     grad_f: np.ndarray,
@@ -159,7 +118,7 @@ def encode_backward(
     for layer in reversed(range(cfg.layers)):
         extra = grad_o_extra[layer] if grad_o_extra is not None else None
         bp = block_params(params, f"enc.block{layer}")
-        block_grads, gx = mha_backward(cfg.attention, bp, cache.block_caches[layer], g, extra)
+        block_grads, gx = mha_backward(cfg.enc_attention, bp, cache.block_caches[layer], g, extra)
         for name, arr in block_grads.items():
             grads[f"enc.block{layer}.{name}"] += arr
         g = g + gx
@@ -171,11 +130,11 @@ def encode_backward(
 def reconstruction_loss(
     f: np.ndarray,
     inputs: dict,
-    cfg: EncoderConfig,
+    cfg: TrainConfig,
     params: dict,
     grads: dict | None = None,
 ):
-    """Mean-squared reconstruction error summed over present modalities.
+    """Mean-squared reconstruction error summed over the modalities in inputs.
 
     Returns (loss, per_sample, grad_f).  With a grads registry supplied,
     decoder gradients are accumulated into it; otherwise grad_f is None.
@@ -184,9 +143,9 @@ def reconstruction_loss(
     grad_f = np.zeros_like(f) if grads is not None else None
     bsz = f.shape[0]
     per_sample = np.zeros(bsz)
-    for modality in MODALITIES[: cfg.channels]:
+    for modality, frames in inputs.items():
         recon_tokens = f @ params[f"dec.{modality}.w"] + params[f"dec.{modality}.b"]
-        target = patchify(np.asarray(inputs[modality], dtype=np.float64), cfg.patch)
+        target = patchify(np.asarray(frames, dtype=np.float64), cfg.patch)
         diff = recon_tokens - target
         count = diff.size
         loss += float(np.sum(diff * diff)) / count

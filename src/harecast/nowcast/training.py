@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ..attention import AttentionConfig
 from ..errors import ConfigError, DivergenceError
 from ..hare import HareConfig, block_stabilization, compute_energies, cross_sample_variance, difficulty_mask
 from ..metrics import SEVIR_THRESHOLDS, csi_m
@@ -23,7 +25,6 @@ from ..tensor_core import SeededRng
 from ..trace import TraceRecord
 from .diffusion import (
     SIZE_MULTIPLE,
-    DenoiserConfig,
     DiffusionSchedule,
     ddim_sample,
     denoiser_forward,
@@ -33,7 +34,6 @@ from .diffusion import (
     noising,
 )
 from .model import (
-    EncoderConfig,
     conditioning_backward,
     conditioning_forward,
     encode,
@@ -42,6 +42,8 @@ from .model import (
     reconstruction_loss,
 )
 
+
+MODES = ("unimodal", "multimodal")
 
 # Counts and sizes that must be >= 1; __post_init__ names the offending key.
 _SIZE_KEYS = (
@@ -53,6 +55,13 @@ _SIZE_KEYS = (
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The toy model's one config: its sizes, data, loss weights and training run.
+
+    __post_init__ is the one place each of its rules is checked.  The
+    stabilization and attention configs derived from it are built once, on
+    first use, not once per call.
+    """
+
     seed: int = 0
     height: int = 32
     width: int = 32
@@ -118,11 +127,14 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.lambda_hare > 0.0 and self.batch_size < 2:
             raise ConfigError("lambda_hare > 0 needs batch size >= 2")
-        # The derived configurations validate the model sizes and loss knobs.
-        self.hare()
-        self.encoder()
-        self.denoiser()
+        self.hare  # HareConfig checks alpha, mask_strategy and mask_fraction
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        # The sinusoidal embedding has 2 * (time_dim // 2) columns.
+        if self.time_dim % 2:
+            raise ConfigError(f"time_dim must be even, got {self.time_dim}")
 
+    @cached_property
     def hare(self) -> HareConfig:
         return HareConfig(
             alpha=self.alpha,
@@ -132,39 +144,32 @@ class TrainConfig:
             mask_fraction=self.mask_fraction,
         )
 
-    def encoder(self) -> EncoderConfig:
-        return EncoderConfig(
-            height=self.height, width=self.width, frames_in=self.frames_in,
-            patch=self.patch, dim=self.dim, layers=self.layers, heads=self.heads,
-            mode=self.mode,
-        )
+    @cached_property
+    def enc_attention(self) -> AttentionConfig:
+        return AttentionConfig(model_dim=self.dim, heads=self.heads)
 
-    def denoiser(self) -> DenoiserConfig:
-        return DenoiserConfig(
-            out_channels=self.frames_out, cond_dim=self.cond_dim,
-            base=self.den_base, mid=self.den_mid, bottleneck=self.den_bottleneck,
-            heads=self.den_heads, time_dim=self.time_dim,
-        )
+    @cached_property
+    def den_attention(self) -> AttentionConfig:
+        return AttentionConfig(model_dim=self.den_bottleneck, heads=self.den_heads)
+
+    @property
+    def den_in(self) -> int:
+        """Denoiser input channels: the noisy frames plus the conditioning."""
+        return self.frames_out + self.cond_dim
 
 
 @dataclass
 class Model:
-    enc_cfg: EncoderConfig
-    den_cfg: DenoiserConfig
+    cfg: TrainConfig
     sched: DiffusionSchedule
     params: dict
 
 
 def build_model(cfg: TrainConfig) -> Model:
     rng = SeededRng(cfg.seed, stream=1000)
-    enc_cfg = cfg.encoder()
-    den_cfg = cfg.denoiser()
-    params = init_encoder_params(enc_cfg, rng, cond_dim=cfg.cond_dim)
-    params.update(init_denoiser_params(den_cfg, rng.spawn(2000)))
-    return Model(
-        enc_cfg=enc_cfg, den_cfg=den_cfg,
-        sched=make_schedule(cfg.diffusion_steps), params=params,
-    )
+    params = init_encoder_params(cfg, rng)
+    params.update(init_denoiser_params(cfg, rng.spawn(2000)))
+    return Model(cfg=cfg, sched=make_schedule(cfg.diffusion_steps), params=params)
 
 
 @dataclass
@@ -205,38 +210,34 @@ def objective(
     compute_grads: bool = True,
 ) -> StepResult:
     """Forward (and optionally backward) pass of the full training loss."""
-    if hare_enabled and batch["y_future"].shape[0] < 2:
-        raise ConfigError("energy stabilization needs batch size >= 2")
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()} if compute_grads else None
-    enc_cfg, den_cfg = model.enc_cfg, model.den_cfg
     x_sat = batch.get("x_sat")
 
-    f, enc_cache = encode(batch["x_radar"], x_sat, enc_cfg, model.params)
+    f, enc_cache = encode(batch["x_radar"], x_sat, cfg, model.params)
 
     inputs = {"radar": batch["x_radar"]}
     if x_sat is not None:
         inputs["satellite"] = x_sat
-    l_recon, _, grad_f_recon = reconstruction_loss(f, inputs, enc_cfg, model.params, grads)
+    l_recon, _, grad_f_recon = reconstruction_loss(f, inputs, cfg, model.params, grads)
 
     cond, pooled = conditioning_forward(f, model.params)
     x_t = noising(batch["y_future"], draws.t, draws.eps, model.sched)
     l_diff, per_sample_diff, g_cond = diffusion_loss(
-        x_t, draws.t, cond, draws.eps, den_cfg, model.params, grads
+        x_t, draws.t, cond, draws.eps, cfg, model.params, grads
     )
 
     l_hare = 0.0
     grad_o_extra = None
     blocks = []
     if hare_enabled:
-        hcfg = cfg.hare()
-        if hcfg.mask_strategy == "top_fraction_by_sample_loss":
-            mask = difficulty_mask(per_sample_diff, hcfg.mask_fraction)
+        if cfg.mask_strategy == "top_fraction_by_sample_loss":
+            mask = difficulty_mask(per_sample_diff, cfg.mask_fraction)
         else:
             mask = np.ones(batch["y_future"].shape[0])
-        blocks = [block_stabilization(acts, mask, hcfg) for acts in enc_cache.acts]
+        blocks = [block_stabilization(acts, mask, cfg.hare) for acts in enc_cache.acts]
         for block in blocks:
-            l_hare += block.loss / enc_cfg.layers
-        grad_o_extra = [cfg.lambda_hare * block.grad_o / enc_cfg.layers for block in blocks]
+            l_hare += block.loss / cfg.layers
+        grad_o_extra = [cfg.lambda_hare * block.grad_o / cfg.layers for block in blocks]
 
     if grads is not None:
         grad_f_diff = conditioning_backward(
@@ -252,7 +253,7 @@ def objective(
             elif name.startswith("den."):
                 grads[name] *= cfg.lambda_diff
         grad_f = cfg.lambda_recon * grad_f_recon + grad_f_diff
-        encode_backward(enc_cfg, model.params, enc_cache, grad_f, grad_o_extra, grads)
+        encode_backward(cfg, model.params, enc_cache, grad_f, grad_o_extra, grads)
 
     total = cfg.lambda_recon * l_recon + cfg.lambda_hare * l_hare + cfg.lambda_diff * l_diff
     return StepResult(
@@ -353,10 +354,10 @@ def sample_conditioned(model: Model, f: np.ndarray, n_steps: int, rng: SeededRng
     cond, _ = conditioning_forward(f, model.params)
 
     def eps_fn(x, t):
-        out, _ = denoiser_forward(x, t, cond, model.den_cfg, model.params)
+        out, _ = denoiser_forward(x, t, cond, model.cfg, model.params)
         return out
 
-    shape = (f.shape[0], model.den_cfg.out_channels, model.enc_cfg.height, model.enc_cfg.width)
+    shape = (f.shape[0], model.cfg.frames_out, model.cfg.height, model.cfg.width)
     return ddim_sample(eps_fn, model.sched, shape, n_steps, rng)
 
 
@@ -365,7 +366,7 @@ def make_predictor(model: Model, cfg: TrainConfig, base_rng: SeededRng):
     state = {"calls": 0}
 
     def predict_chunk(context: np.ndarray) -> np.ndarray:
-        f, _ = encode(context[None], None, model.enc_cfg, model.params)
+        f, _ = encode(context[None], None, cfg, model.params)
         state["calls"] += 1
         return sample_conditioned(model, f, cfg.sample_steps, base_rng.spawn(state["calls"]))[0]
 
@@ -400,14 +401,12 @@ def probe_model(model: Model, cfg: TrainConfig, probe_specs) -> tuple[list, dict
     norm_vars = []
     specs = list(probe_specs)
     bsz = cfg.batch_size
-    if len(specs) < bsz:
-        raise ConfigError(f"probe needs at least one full batch ({bsz} events)")
     n_batches = min(cfg.probe_batches, len(specs) // bsz)
     rng = SeededRng(cfg.seed, stream=7000)
     for b in range(n_batches):
         group = specs[b * bsz:(b + 1) * bsz]
         data = render_dataset(group, cfg)
-        f, enc_cache = encode(data["x_radar"], data.get("x_sat"), model.enc_cfg, model.params)
+        f, enc_cache = encode(data["x_radar"], data.get("x_sat"), cfg, model.params)
         pred = sample_conditioned(model, f, cfg.sample_steps, rng.spawn(b + 1))
         csi = csi_m(pred, data["y_future"], SEVIR_THRESHOLDS)
         csi = 0.0 if np.isnan(csi) else csi

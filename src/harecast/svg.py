@@ -13,6 +13,7 @@ MARGIN_LEFT = 46
 MARGIN_TOP = 34
 GAP = 30
 LABEL_FONT = 11
+TITLE = "cross-sample energy variance"
 
 
 def _color(v: float, vmax: float) -> str:
@@ -24,8 +25,8 @@ def _color(v: float, vmax: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def heatmap_svg(panels: list, title: str = "") -> str:
-    """Render labelled (layers x heads) grids side by side.
+def heatmap_svg(panels: list) -> str:
+    """Render labelled (layers x heads) grids side by side under TITLE.
 
     panels is a list of (label, grid) with equal grid shapes; the color
     scale is linear and shared across panels.
@@ -40,11 +41,8 @@ def heatmap_svg(panels: list, title: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<text x="{GAP}" y="16" font-family="monospace" font-size="{LABEL_FONT + 2}">{TITLE}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{GAP}" y="16" font-family="monospace" font-size="{LABEL_FONT + 2}">{title}</text>'
-        )
     for p, ((label, _), grid) in enumerate(zip(panels, grids)):
         x0 = GAP + p * (panel_w + GAP) + MARGIN_LEFT
         y0 = MARGIN_TOP

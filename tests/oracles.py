@@ -190,6 +190,14 @@ def naive_contingency(pred, truth, thr):
     return tables
 
 
+def unpatchify(tokens, t, h, w, patch):
+    """(B, T*(H/P)*(W/P), P*P) tokens back to (B, T, H, W) frames: the inverse of patchify."""
+    b = tokens.shape[0]
+    gy, gx = h // patch, w // patch
+    out = tokens.reshape(b, t, gy, gx, patch, patch).transpose(0, 1, 2, 4, 3, 5)
+    return out.reshape(b, t, h, w)
+
+
 def naive_max_pool(frames, pool):
     """Non-overlapping pool x pool maximum of each (H, W) frame, cell by cell."""
     n, h, w = frames.shape
@@ -327,26 +335,26 @@ def reference_check_theorem1(x_samples, response_map, head, y_samples,
 def reference_init_denoiser_params(cfg, rng) -> dict:
     """Denoiser parameters with every stage's entry and substream written out."""
     p = {
-        "den.in.w": conv_init(rng.spawn(1), cfg.base, cfg.in_channels),
-        "den.in.b": np.zeros(cfg.base),
-        "den.t1.w": rng.spawn(2).normal((cfg.time_dim, cfg.base)) / np.sqrt(cfg.time_dim),
-        "den.t1.b": np.zeros(cfg.base),
-        "den.d1.w": conv_init(rng.spawn(3), cfg.mid, cfg.base),
-        "den.d1.b": np.zeros(cfg.mid),
-        "den.t2.w": rng.spawn(4).normal((cfg.time_dim, cfg.mid)) / np.sqrt(cfg.time_dim),
-        "den.t2.b": np.zeros(cfg.mid),
-        "den.d2.w": conv_init(rng.spawn(5), cfg.bottleneck, cfg.mid),
-        "den.d2.b": np.zeros(cfg.bottleneck),
-        "den.t3.w": rng.spawn(6).normal((cfg.time_dim, cfg.bottleneck)) / np.sqrt(cfg.time_dim),
-        "den.t3.b": np.zeros(cfg.bottleneck),
-        "den.u1.w": conv_init(rng.spawn(7), cfg.mid, cfg.bottleneck),
-        "den.u1.b": np.zeros(cfg.mid),
-        "den.u2.w": conv_init(rng.spawn(8), cfg.base, cfg.mid),
-        "den.u2.b": np.zeros(cfg.base),
-        "den.out.w": conv_init(rng.spawn(9), cfg.out_channels, cfg.base),
-        "den.out.b": np.zeros(cfg.out_channels),
+        "den.in.w": conv_init(rng.spawn(1), cfg.den_base, cfg.den_in),
+        "den.in.b": np.zeros(cfg.den_base),
+        "den.t1.w": rng.spawn(2).normal((cfg.time_dim, cfg.den_base)) / np.sqrt(cfg.time_dim),
+        "den.t1.b": np.zeros(cfg.den_base),
+        "den.d1.w": conv_init(rng.spawn(3), cfg.den_mid, cfg.den_base),
+        "den.d1.b": np.zeros(cfg.den_mid),
+        "den.t2.w": rng.spawn(4).normal((cfg.time_dim, cfg.den_mid)) / np.sqrt(cfg.time_dim),
+        "den.t2.b": np.zeros(cfg.den_mid),
+        "den.d2.w": conv_init(rng.spawn(5), cfg.den_bottleneck, cfg.den_mid),
+        "den.d2.b": np.zeros(cfg.den_bottleneck),
+        "den.t3.w": rng.spawn(6).normal((cfg.time_dim, cfg.den_bottleneck)) / np.sqrt(cfg.time_dim),
+        "den.t3.b": np.zeros(cfg.den_bottleneck),
+        "den.u1.w": conv_init(rng.spawn(7), cfg.den_mid, cfg.den_bottleneck),
+        "den.u1.b": np.zeros(cfg.den_mid),
+        "den.u2.w": conv_init(rng.spawn(8), cfg.den_base, cfg.den_mid),
+        "den.u2.b": np.zeros(cfg.den_base),
+        "den.out.w": conv_init(rng.spawn(9), cfg.frames_out, cfg.den_base),
+        "den.out.b": np.zeros(cfg.frames_out),
     }
-    for name, arr in AttentionParams.init(cfg.attention, rng.spawn(11)).items():
+    for name, arr in AttentionParams.init(cfg.den_attention, rng.spawn(11)).items():
         p[f"den.attn.{name}"] = arr
     return p
 
@@ -375,8 +383,8 @@ def reference_denoiser_forward(x_t, t, cond, cfg, params):
     h2 = stage("d2", h1, 2, "t3")
 
     s_h, s_w = h2.shape[2], h2.shape[3]
-    tokens = h2.reshape(bsz, cfg.bottleneck, s_h * s_w).transpose(0, 2, 1)
-    att_y, attn_cache = mha_forward(tokens, cfg.attention, block_params(params, "den.attn"))
+    tokens = h2.reshape(bsz, cfg.den_bottleneck, s_h * s_w).transpose(0, 2, 1)
+    att_y, attn_cache = mha_forward(tokens, cfg.den_attention, block_params(params, "den.attn"))
     h2a = h2 + att_y.transpose(0, 2, 1).reshape(h2.shape)
 
     u1 = stage("u1", upsample2_forward(h2a), 1) + h1
@@ -412,7 +420,7 @@ def reference_denoiser_backward(grad_eps, cfg, params, cache, grads):
     s_b, s_c, s_h, s_w = cache.h2_shape
     g_tokens = g_h2a.reshape(s_b, s_c, s_h * s_w).transpose(0, 2, 1)
     att_grads, g_tok_in = mha_backward(
-        cfg.attention, block_params(params, "den.attn"), cache.attn_cache, g_tokens
+        cfg.den_attention, block_params(params, "den.attn"), cache.attn_cache, g_tokens
     )
     for name, arr in att_grads.items():
         grads[f"den.attn.{name}"] += arr
@@ -426,7 +434,7 @@ def reference_denoiser_backward(grad_eps, cfg, params, cache, grads):
     g_h0 = conv_back("d1", g_pre) + g_h0_skip
     g_pre = tanh_backward(g_h0, tanhs["in"])
     time_back("t1", g_pre)
-    g_cond_map = conv_back("in", g_pre, first_grad_channel=cfg.out_channels)
+    g_cond_map = conv_back("in", g_pre, first_grad_channel=cfg.frames_out)
     return g_cond_map.sum(axis=(2, 3))
 
 

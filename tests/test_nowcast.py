@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import (
@@ -8,13 +10,15 @@ from oracles import (
     reference_denoiser_backward,
     reference_denoiser_forward,
     reference_init_denoiser_params,
+    unpatchify,
 )
+from test_trace_cli import MICRO
 
+from harecast.cli import main
 from harecast.errors import ConfigError
-from harecast.gradcheck import micro_train_config, objective_gradcheck
+from harecast.gradcheck import _robust_micro_instance, check_gradients, micro_train_config, objective_gradcheck
 from harecast.nowcast.convnet import conv2d_backward, conv2d_forward
 from harecast.nowcast.diffusion import (
-    DenoiserConfig,
     ddim_sample,
     denoiser_backward,
     denoiser_forward,
@@ -24,12 +28,10 @@ from harecast.nowcast.diffusion import (
     noising,
 )
 from harecast.nowcast.model import (
-    EncoderConfig,
     encode,
     init_encoder_params,
     patchify,
     reconstruction_loss,
-    unpatchify,
 )
 from harecast.nowcast.training import (
     FrozenDraws,
@@ -70,16 +72,15 @@ class TestPatchify:
 
 class TestEncode:
     def test_token_count(self):
-        cfg = EncoderConfig(height=32, width=32, frames_in=5, patch=8, dim=16, layers=1, heads=2)
-        assert cfg.tokens == 5 * 16
-        params = init_encoder_params(cfg, SeededRng(1), cond_dim=4)
+        cfg = TrainConfig(height=32, width=32, frames_in=5, patch=8, dim=16, layers=1, heads=2)
+        params = init_encoder_params(cfg, SeededRng(1))
         f, cache = encode(SeededRng(2).uniform((2, 5, 32, 32)), None, cfg, params)
-        assert f.shape == (2, 80, 16)
+        assert f.shape == (2, 5 * 16, 16)
         assert len(cache.acts) == 1
 
     def test_zero_input_zero_params_gives_positional_embedding(self):
-        cfg = EncoderConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=2, heads=2)
-        params = init_encoder_params(cfg, SeededRng(3), cond_dim=4)
+        cfg = TrainConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=2, heads=2)
+        params = init_encoder_params(cfg, SeededRng(3))
         for name, arr in params.items():
             if name != "enc.pos":
                 params[name] = np.zeros_like(arr)
@@ -88,11 +89,11 @@ class TestEncode:
         assert np.all(np.isfinite(f))
 
     def test_multimodal_with_zeroed_satellite_weights_matches_unimodal(self):
-        uni = EncoderConfig(height=16, width=16, frames_in=2, patch=4, dim=8, layers=1, heads=2)
-        multi = EncoderConfig(height=16, width=16, frames_in=2, patch=4, dim=8, layers=1,
-                              heads=2, mode="multimodal")
-        p_uni = init_encoder_params(uni, SeededRng(4), cond_dim=4)
-        p_multi = init_encoder_params(multi, SeededRng(4), cond_dim=4)
+        uni = TrainConfig(height=16, width=16, frames_in=2, patch=4, dim=8, layers=1, heads=2)
+        multi = TrainConfig(height=16, width=16, frames_in=2, patch=4, dim=8, layers=1,
+                            heads=2, mode="multimodal")
+        p_uni = init_encoder_params(uni, SeededRng(4))
+        p_multi = init_encoder_params(multi, SeededRng(4))
         pv = uni.patch * uni.patch
         p_multi["enc.embed.w"] = np.concatenate(
             [p_uni["enc.embed.w"], np.zeros((pv, uni.dim))], axis=0
@@ -107,14 +108,14 @@ class TestEncode:
         np.testing.assert_allclose(f_multi, f_uni, atol=1e-12)
 
     def test_mode_mismatch_rejected(self):
-        cfg = EncoderConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=1, heads=2)
-        params = init_encoder_params(cfg, SeededRng(1), cond_dim=4)
+        cfg = TrainConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=1, heads=2)
+        params = init_encoder_params(cfg, SeededRng(1))
         with pytest.raises(ConfigError):
             encode(np.zeros((1, 2, 16, 16)), np.zeros((1, 2, 16, 16)), cfg, params)
 
     def test_indivisible_patch_rejected(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(height=30, width=32, frames_in=2, patch=8, dim=8, layers=1, heads=2)
+        with pytest.raises(ConfigError, match="height must be a multiple of patch"):
+            TrainConfig(height=20, width=32, frames_in=2, patch=8, dim=8, layers=1, heads=2)
 
 
 def decode_radar(f, cfg, params):
@@ -126,8 +127,8 @@ def decode_radar(f, cfg, params):
 class TestReconstruct:
     def test_constructed_inverse_round_trip(self):
         # d == P^2, identity embedding, zero blocks: decoding is exact.
-        cfg = EncoderConfig(height=8, width=8, frames_in=2, patch=4, dim=16, layers=1, heads=2)
-        params = init_encoder_params(cfg, SeededRng(7), cond_dim=4)
+        cfg = TrainConfig(height=8, width=8, frames_in=2, patch=4, dim=16, layers=1, heads=2)
+        params = init_encoder_params(cfg, SeededRng(7))
         for name, arr in params.items():
             params[name] = np.zeros_like(arr)
         params["enc.embed.w"] = np.eye(16)
@@ -139,8 +140,8 @@ class TestReconstruct:
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_loss_matches_mse_oracle(self):
-        cfg = EncoderConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=1, heads=2)
-        params = init_encoder_params(cfg, SeededRng(9), cond_dim=4)
+        cfg = TrainConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=1, heads=2)
+        params = init_encoder_params(cfg, SeededRng(9))
         x = SeededRng(10).uniform((3, 2, 16, 16))
         f, _ = encode(x, None, cfg, params)
         loss, _, grad_f = reconstruction_loss(f, {"radar": x}, cfg, params)
@@ -149,8 +150,8 @@ class TestReconstruct:
         assert loss == pytest.approx(oracle, abs=1e-12)
 
     def test_unimodal_has_single_decoder(self):
-        cfg = EncoderConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=1, heads=2)
-        params = init_encoder_params(cfg, SeededRng(11), cond_dim=4)
+        cfg = TrainConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=1, heads=2)
+        params = init_encoder_params(cfg, SeededRng(11))
         assert "dec.satellite.w" not in params
         f, _ = encode(SeededRng(12).uniform((1, 2, 16, 16)), None, cfg, params)
         # Only the radar decoder runs, so no satellite input is needed.
@@ -269,10 +270,9 @@ class TestDenoiser:
     @pytest.mark.parametrize("bsz", [1, 8])
     @pytest.mark.parametrize("model", ["default", "gradcheck_micro"])
     def test_stage_table_is_bitwise_the_hand_written_denoiser(self, model, bsz):
-        train_cfg = TrainConfig() if model == "default" else micro_train_config(0)
-        cfg = train_cfg.denoiser()
-        params = init_denoiser_params(cfg, SeededRng(train_cfg.seed, stream=1000).spawn(2000))
-        want = reference_init_denoiser_params(cfg, SeededRng(train_cfg.seed, stream=1000).spawn(2000))
+        cfg = TrainConfig() if model == "default" else micro_train_config(0)
+        params = init_denoiser_params(cfg, SeededRng(cfg.seed, stream=1000).spawn(2000))
+        want = reference_init_denoiser_params(cfg, SeededRng(cfg.seed, stream=1000).spawn(2000))
         assert list(params) == list(want)
         for name in params:
             assert_bitwise(params[name], want[name])
@@ -280,7 +280,7 @@ class TestDenoiser:
         rng = SeededRng(61, stream=bsz)
         # Offsets on every parameter so the zero-initialised biases take part.
         params = {name: arr + 0.1 * rng.normal(arr.shape) for name, arr in params.items()}
-        x_t = rng.normal((bsz, cfg.out_channels, train_cfg.height, train_cfg.width))
+        x_t = rng.normal((bsz, cfg.frames_out, cfg.height, cfg.width))
         t = np.asarray(rng.integers(1, 1001, size=bsz))
         cond = rng.normal((bsz, cfg.cond_dim))
         grad_eps = rng.normal(x_t.shape)
@@ -297,7 +297,7 @@ class TestDenoiser:
         assert_bitwise(g_cond, want_g_cond)
 
     def test_zero_denoiser_loss_near_one(self):
-        cfg = DenoiserConfig(out_channels=2, cond_dim=4, base=4, mid=6, bottleneck=8, heads=2)
+        cfg = TrainConfig(frames_out=2, cond_dim=4, den_base=4, den_mid=6, den_bottleneck=8, den_heads=2)
         params = {k: np.zeros_like(v) for k, v in init_denoiser_params(cfg, SeededRng(15)).items()}
         sched = make_schedule(1000)
         rng = SeededRng(16)
@@ -470,6 +470,26 @@ class TestTraining:
             assert rep.ok, rep.failures
             rep = objective_gradcheck(seed, hare_only=True)
             assert rep.ok, rep.failures
+
+    def test_multimodal_objective_gradients_and_rerun(self, tmp_path):
+        # Only multimodal runs reach the satellite decoder and the 2*P*P patch vector.
+        for seed in range(3):
+            cfg = dataclasses.replace(micro_train_config(seed), mode="multimodal")
+            model, batch, draws, res = _robust_micro_instance(cfg, seed)
+            assert "dec.satellite.w" in res.grads and model.params["enc.embed.w"].shape[0] == 2 * 8 * 8
+
+            def loss():
+                return objective(model, batch, draws, cfg, hare_enabled=True, compute_grads=False).total
+
+            rep = check_gradients(loss, model.params, res.grads, SeededRng(seed + 31), coords_per_param=4)
+            assert rep.ok, rep.failures
+        runs = [tmp_path / tag for tag in ("a", "b")]
+        for out in runs:
+            assert main(["train-toy", "--out", str(out), "--mode", "multimodal", *MICRO]) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir()) and "model.bin" in names
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_decoders_absent_from_inference_path(self, monkeypatch):
         cfg = micro_cfg()

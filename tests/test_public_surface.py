@@ -107,9 +107,9 @@ def test_benchmark_conv_hooks_read_real_conv_calls(monkeypatch):
     bsz = 2
     x_t = rng.normal(size=(bsz, cfg.frames_out, cfg.height, cfg.width))
     cond = rng.normal(size=(bsz, cfg.cond_dim))
-    eps_hat, cache = diffusion.denoiser_forward(x_t, np.array([1, 500]), cond, model.den_cfg, model.params)
+    eps_hat, cache = diffusion.denoiser_forward(x_t, np.array([1, 500]), cond, model.cfg, model.params)
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-    diffusion.denoiser_backward(np.ones_like(eps_hat), model.den_cfg, model.params, cache, grads)
+    diffusion.denoiser_backward(np.ones_like(eps_hat), model.cfg, model.params, cache, grads)
 
     seen = {"forward": set(), "backward": set()}
     for direction, args, kwargs, result in calls:

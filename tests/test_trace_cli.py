@@ -3,7 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -264,6 +268,8 @@ class TestCliCommands:
         ("--width", "12", "width must be a multiple of patch"),
         ("--dim", "30", "dim must be a multiple of heads"),
         ("--den-bottleneck", "15", "den_bottleneck must be a multiple of den_heads"),
+        ("--mode", "bogus", "mode must be"),
+        ("--mask-strategy", "bogus", "mask_strategy"),
     ])
     def test_invalid_value_rejected_before_training(self, tmp_path, capsys, monkeypatch, flag, raw, names):
         calls = []
@@ -285,6 +291,26 @@ class TestCliCommands:
         assert err.startswith(f"error: {key} must be a multiple of") and err.count("\n") == 1
         assert not calls
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv,out_flag", [
+        (["verify-theory", "--trials", "10000000"], "--report"),
+        (["train-toy", "--height", "4096", "--width", "4096", "--steps", "1"], "--out"),
+    ])
+    def test_oversized_request_exits_2_with_one_line(self, tmp_path, argv, out_flag):
+        # The address-space cap (about ten times an idle CLI process) makes
+        # the first oversized allocation fail in the child, not on the host.
+        limit = 1 << 30
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "harecast.cli", *argv, out_flag, str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {argv[0]}: out of memory") and proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("learning_rate,where", [("1e6", "at step 2"), ("1e3", "held-out probe")])
     def test_diverged_run_exits_2_and_writes_nothing(self, tmp_path, capsys, learning_rate, where):
