@@ -6,8 +6,8 @@ bounds that motivate it, forecast-verification metrics, and a toy
 diffusion-based nowcaster demonstrating the mechanism end to end.
 """
 
-from .attention import AttentionConfig, AttentionParams, HeadActivations, LinearHead  # noqa: F401
-from .hare import EnergyBatch, HareConfig, HeadPartition  # noqa: F401
+from .attention import LinearHead  # noqa: F401
+from .hare import EnergyBatch, HeadPartition  # noqa: F401
 from .tensor_core import SeededRng  # noqa: F401
 
 __version__ = "0.1.0"

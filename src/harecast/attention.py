@@ -9,7 +9,7 @@ reaches the attention parameters without re-deriving a combined objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,92 +17,43 @@ from .errors import ConfigError, ShapeError, StateError
 from .tensor_core import SeededRng, softmax_rows, weight_grad
 
 __all__ = [
-    "AttentionConfig",
-    "AttentionParams",
-    "HeadActivations",
+    "PARAM_NAMES",
     "MhaCache",
     "LinearHead",
+    "init_attention",
     "mha_forward",
     "mha_backward",
     "sigma_min",
 ]
 
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    model_dim: int
-    heads: int
-
-    def __post_init__(self):
-        if self.model_dim <= 0 or self.heads <= 0:
-            raise ConfigError("model_dim and heads must be positive")
-        if self.model_dim % self.heads != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} not divisible by heads {self.heads}"
-            )
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
+# An attention block's parameters are a plain dict with these keys: the
+# (d, d) projections then their (d,) biases.  Backward returns its
+# gradients in a dict of the same layout.
+PARAM_NAMES = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
 
 
-@dataclass
-class AttentionParams:
-    """Projection weights of one attention block.
-
-    Doubles as the gradient container: backward returns an instance with
-    the same field layout holding dL/d(parameter).
-    """
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    bq: np.ndarray
-    bk: np.ndarray
-    bv: np.ndarray
-    bo: np.ndarray
-
-    @classmethod
-    def init(cls, cfg: AttentionConfig, rng: SeededRng, scale: float | None = None) -> "AttentionParams":
-        d = cfg.model_dim
-        s = scale if scale is not None else 1.0 / np.sqrt(d)
-        return cls(
-            wq=rng.normal((d, d)) * s,
-            wk=rng.normal((d, d)) * s,
-            wv=rng.normal((d, d)) * s,
-            wo=rng.normal((d, d)) * s,
-            bq=np.zeros(d),
-            bk=np.zeros(d),
-            bv=np.zeros(d),
-            bo=np.zeros(d),
-        )
-
-    def items(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
-
-@dataclass
-class HeadActivations:
-    """Per-head attention maps, values and responses for one block.
-
-    a: (B, M, N, N), v: (B, M, N, d_h), o: (B, M, N, d_h) with o = a @ v.
-    """
-
-    a: np.ndarray
-    v: np.ndarray
-    o: np.ndarray
+def init_attention(dim: int, rng: SeededRng, scale: float | None = None) -> dict:
+    """Gaussian projections drawn wq, wk, wv, wo in order, times scale (default 1/sqrt(dim)); zero biases."""
+    s = scale if scale is not None else 1.0 / np.sqrt(dim)
+    params = {name: rng.normal((dim, dim)) * s for name in PARAM_NAMES[:4]}
+    params.update({name: np.zeros(dim) for name in PARAM_NAMES[4:]})
+    return params
 
 
 @dataclass
 class MhaCache:
-    """Forward activations saved for the analytic backward pass."""
+    """Forward activations saved for the analytic backward pass.
+
+    Per head: attention maps a (B, M, N, N), values v and responses
+    o = a @ v, both (B, M, N, d_h); q and k are split the same way.
+    """
 
     x: np.ndarray
     q: np.ndarray
     k: np.ndarray
-    acts: HeadActivations
+    a: np.ndarray
+    v: np.ndarray
+    o: np.ndarray
 
 
 @dataclass
@@ -128,38 +79,40 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(b, n, m * dh)
 
 
-def mha_forward(x: np.ndarray, cfg: AttentionConfig, params: AttentionParams):
+def mha_forward(x: np.ndarray, params: dict, heads: int):
     """Scaled-dot-product multi-head attention over a token batch.
 
-    x is (B, N, d).  Returns (y, cache) where y is (B, N, d) and
-    cache.acts holds A, V, O for every head.
+    x is (B, N, d) with d = params["wq"].shape[0], and heads must divide d.
+    Returns (y, cache) where y is (B, N, d) and cache holds A, V, O for
+    every head.
     """
+    d = params["wq"].shape[0]
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != cfg.model_dim:
-        raise ShapeError(
-            f"input must be (B, N, {cfg.model_dim}), got {x.shape}"
-        )
-    for name, p in params.items():
-        want = (cfg.model_dim, cfg.model_dim) if name.startswith("w") else (cfg.model_dim,)
-        if p.shape != want:
-            raise ShapeError(f"parameter {name} has shape {p.shape}, expected {want}")
+    if x.ndim != 3 or x.shape[2] != d:
+        raise ShapeError(f"input must be (B, N, {d}), got {x.shape}")
+    for name in PARAM_NAMES:
+        want = (d, d) if name.startswith("w") else (d,)
+        if params[name].shape != want:
+            raise ShapeError(f"parameter {name} has shape {params[name].shape}, expected {want}")
+    if heads < 1 or d % heads:
+        raise ConfigError(f"model dim {d} not divisible by heads {heads}")
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    q = _split_heads(x @ params.wq + params.bq, cfg.heads)
-    k = _split_heads(x @ params.wk + params.bk, cfg.heads)
-    v = _split_heads(x @ params.wv + params.bv, cfg.heads)
+    scale = 1.0 / np.sqrt(d // heads)
+    q = _split_heads(x @ params["wq"] + params["bq"], heads)
+    k = _split_heads(x @ params["wk"] + params["bk"], heads)
+    v = _split_heads(x @ params["wv"] + params["bv"], heads)
 
     scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
     a = softmax_rows(scores)
     o = np.matmul(a, v)
 
-    y = _merge_heads(o) @ params.wo + params.bo
-    return y, MhaCache(x=x, q=q, k=k, acts=HeadActivations(a=a, v=v, o=o))
+    y = _merge_heads(o) @ params["wo"] + params["bo"]
+    return y, MhaCache(x=x, q=q, k=k, a=a, v=v, o=o)
 
 
 def mha_backward(
-    cfg: AttentionConfig,
-    params: AttentionParams,
+    params: dict,
+    heads: int,
     cache: MhaCache,
     grad_y: np.ndarray | None,
     grad_o_extra: np.ndarray | None = None,
@@ -168,14 +121,12 @@ def mha_backward(
 
     grad_y is dL/dy (B, N, d) or None for zero; grad_o_extra is an
     additional dL/dO (B, M, N, d_h) injected at the head responses.
-    Returns (grads: AttentionParams, grad_x: (B, N, d)).
+    Returns (grads: dict keyed by PARAM_NAMES, grad_x: (B, N, d)).
     """
     if cache is None:
         raise StateError("mha_backward needs the cache saved by mha_forward")
-    x, q, k = cache.x, cache.q, cache.k
-    a, v, o = cache.acts.a, cache.acts.v, cache.acts.o
-    bsz, n, d = x.shape
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    x, q, k, a, v, o = cache.x, cache.q, cache.k, cache.a, cache.v, cache.o
+    scale = 1.0 / np.sqrt(x.shape[2] // heads)
 
     if grad_y is None:
         grad_y = np.zeros_like(x)
@@ -191,7 +142,7 @@ def mha_backward(
     g_wo = weight_grad(o_cat, grad_y)
     g_bo = grad_y.sum(axis=(0, 1))
 
-    g_o = _split_heads(grad_y @ params.wo.T, cfg.heads)
+    g_o = _split_heads(grad_y @ params["wo"].T, heads)
     if grad_o_extra is not None:
         g_o = g_o + grad_o_extra
 
@@ -204,17 +155,17 @@ def mha_backward(
 
     g_q, g_k, g_v = (_merge_heads(t) for t in (g_q, g_k, g_v))
 
-    grads = AttentionParams(
-        wq=weight_grad(x, g_q),
-        wk=weight_grad(x, g_k),
-        wv=weight_grad(x, g_v),
-        wo=g_wo,
-        bq=g_q.sum(axis=(0, 1)),
-        bk=g_k.sum(axis=(0, 1)),
-        bv=g_v.sum(axis=(0, 1)),
-        bo=g_bo,
-    )
-    grad_x = g_q @ params.wq.T + g_k @ params.wk.T + g_v @ params.wv.T
+    grads = {
+        "wq": weight_grad(x, g_q),
+        "wk": weight_grad(x, g_k),
+        "wv": weight_grad(x, g_v),
+        "wo": g_wo,
+        "bq": g_q.sum(axis=(0, 1)),
+        "bk": g_k.sum(axis=(0, 1)),
+        "bv": g_v.sum(axis=(0, 1)),
+        "bo": g_bo,
+    }
+    grad_x = g_q @ params["wq"].T + g_k @ params["wk"].T + g_v @ params["wv"].T
     return grads, grad_x
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionConfig, AttentionParams, LinearHead, mha_forward, sigma_min
+from .attention import LinearHead, init_attention, mha_forward, sigma_min
 from .errors import ConfigError, DegenerateInputError
 from .tensor_core import SeededRng
 
@@ -125,12 +125,11 @@ def _attention_block_map(dim: int, rng: SeededRng):
     """
     feat = 2
     tokens = dim // feat
-    cfg = AttentionConfig(model_dim=feat, heads=1)
-    params = AttentionParams.init(cfg, rng, scale=1.0)
+    params = init_attention(feat, rng, scale=1.0)
 
     def apply(xs: np.ndarray) -> np.ndarray:
         t = xs.reshape(xs.shape[0], tokens, feat)
-        y, _ = mha_forward(t, cfg, params)
+        y, _ = mha_forward(t, params, 1)
         return (t + y).reshape(xs.shape[0], dim)
 
     return apply

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionParams
+from .attention import PARAM_NAMES
 from .bounds import render_report, run_verification_suite
 from .errors import ConfigError, DataError, HarecastError, ShapeError
 from .gradcheck import run_gradcheck_suite
@@ -269,10 +269,9 @@ def cmd_gradcheck(args) -> int:
     if args.perturb_eps is not None and args.perturb_param is None:
         raise ConfigError("--perturb-eps needs --perturb-param (the parameter to perturb)")
     if args.perturb_param is not None:
-        names = [f.name for f in dataclasses.fields(AttentionParams)]
-        if args.perturb_param not in names:
+        if args.perturb_param not in PARAM_NAMES:
             raise ConfigError(
-                f"--perturb-param must be one of {', '.join(names)}, got {args.perturb_param!r}"
+                f"--perturb-param must be one of {', '.join(PARAM_NAMES)}, got {args.perturb_param!r}"
             )
         perturb = (args.perturb_param, 1e-3 if args.perturb_eps is None else args.perturb_eps)
     ok, rows = run_gradcheck_suite(args.seed, seeds=args.seeds, perturb=perturb)

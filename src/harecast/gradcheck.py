@@ -97,25 +97,23 @@ def check_gradients(
 
 def attention_gradcheck(seed: int, perturb: tuple[str, float] | None = None) -> GradCheckReport:
     """Random attention block against finite differences of a mixed loss."""
-    from .attention import AttentionConfig, AttentionParams, mha_backward, mha_forward
+    from .attention import init_attention, mha_backward, mha_forward
 
-    cfg = AttentionConfig(model_dim=8, heads=2)
     rng = SeededRng(seed)
-    params = AttentionParams.init(cfg, rng)
+    params = init_attention(8, rng)
     x = rng.normal((2, 5, 8))
     wy = SeededRng(seed + 101).normal(x.shape)
     wo = SeededRng(seed + 202).normal((2, 2, 5, 4))
 
     def loss():
-        y, cache = mha_forward(x, cfg, params)
-        return float(np.sum(y * wy) + np.sum(cache.acts.o * wo))
+        y, cache = mha_forward(x, params, 2)
+        return float(np.sum(y * wy) + np.sum(cache.o * wo))
 
-    _, cache = mha_forward(x, cfg, params)
-    grads, _ = mha_backward(cfg, params, cache, wy, wo)
-    analytic = dict(grads.items())
+    _, cache = mha_forward(x, params, 2)
+    analytic, _ = mha_backward(params, 2, cache, wy, wo)
     if perturb is not None:
         analytic[perturb[0]] = analytic[perturb[0]] + perturb[1]
-    return check_gradients(loss, dict(params.items()), analytic, SeededRng(seed + 7))
+    return check_gradients(loss, params, analytic, SeededRng(seed + 7))
 
 
 def micro_train_config(seed: int, lambdas=(1.0, 1.0, 5.0)):

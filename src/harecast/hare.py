@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import HeadActivations
 from .errors import ConfigError, ShapeError
 
 __all__ = [
-    "HareConfig",
     "EnergyBatch",
     "HeadPartition",
     "GroupEnergies",
@@ -34,35 +32,6 @@ __all__ = [
 ]
 
 GROUP_NAMES = ("strong", "contextual", "weak")
-MASK_STRATEGIES = ("all_ones", "top_fraction_by_sample_loss")
-
-
-@dataclass(frozen=True)
-class HareConfig:
-    """Knobs of the stabilization loss.
-
-    alpha is the weak-head threshold in (0,1).  detach_target keeps the
-    batch-mean target out of the gradient (the target is a reference the
-    samples move toward, not a quantity they push around); the non-detached
-    variant exists for ablation.  grouping=False collapses all heads into a
-    single group with one shared target.
-    """
-
-    alpha: float = 0.75
-    detach_target: bool = True
-    grouping: bool = True
-    mask_strategy: str = "all_ones"
-    mask_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.mask_strategy not in MASK_STRATEGIES:
-            raise ConfigError(
-                f"mask_strategy must be one of {', '.join(MASK_STRATEGIES)}, got {self.mask_strategy!r}"
-            )
-        if not (0.0 < self.mask_fraction <= 1.0):
-            raise ConfigError(f"mask_fraction must be in (0,1], got {self.mask_fraction}")
 
 
 @dataclass
@@ -103,9 +72,8 @@ class GroupEnergies:
     present: np.ndarray
 
 
-def compute_energies(acts: HeadActivations) -> EnergyBatch:
-    """Energy e[i,m] = ||O_{i,m}||_F^2 plus batch/head means."""
-    o = acts.o
+def compute_energies(o: np.ndarray) -> EnergyBatch:
+    """Energy e[i,m] = ||O_{i,m}||_F^2 of responses o (B, M, N, d_h), plus batch/head means."""
     e = np.sum(o * o, axis=(2, 3))
     head_means = e.mean(axis=0)
     return EnergyBatch(energies=e, head_means=head_means, mean_energy=float(head_means.mean()))
@@ -143,15 +111,18 @@ def group_energies(eb: EnergyBatch, groups: tuple[tuple[int, ...], ...]) -> Grou
     return GroupEnergies(values=values, present=present)
 
 
-def hare_loss(ge: GroupEnergies, mask: np.ndarray, cfg: HareConfig):
+def hare_loss(ge: GroupEnergies, mask: np.ndarray, detach_target: bool):
     """Masked one-sided deviation from the batch-mean group targets.
 
     loss = (1/B) sum_i mask_i sum_g relu(e_i^g - mu_g) with mu_g the mean
     of e^g over the FULL batch (the mask never biases the target).  Returns
-    (loss, grad wrt the group energies, shape (B, G)).  With
-    detach_target the target is a constant in the gradient; otherwise the
-    gradient includes the -1/B flow through every sample's contribution to
-    mu_g.  Absent groups contribute nothing.
+    (loss, grad wrt the group energies, shape (B, G)).  Absent groups
+    contribute nothing.
+
+    With detach_target the target is a constant in the gradient: it is a
+    reference the samples move toward, not a quantity they push around.
+    Otherwise (the ablation) the gradient includes the -1/B flow through
+    every sample's contribution to mu_g.
     """
     values = ge.values
     bsz = values.shape[0]
@@ -173,20 +144,17 @@ def hare_loss(ge: GroupEnergies, mask: np.ndarray, cfg: HareConfig):
         active = (dev > 0.0).astype(np.float64)
         loss += float(np.sum(mask * np.maximum(dev, 0.0))) / bsz
         grad[:, g] = mask * active / bsz
-        if not cfg.detach_target:
+        if not detach_target:
             grad[:, g] -= np.sum(mask * active) / bsz**2
     return loss, grad
 
 
-def hare_grad_to_O(
-    grad_ge: np.ndarray, groups: tuple[tuple[int, ...], ...], acts: HeadActivations
-) -> np.ndarray:
-    """Chain the group-energy gradient back to the head responses.
+def hare_grad_to_O(grad_ge: np.ndarray, groups: tuple[tuple[int, ...], ...], o: np.ndarray) -> np.ndarray:
+    """Chain the group-energy gradient back to the head responses o (B, M, N, d_h).
 
     dL/dO_{i,m} = grad_ge[i, g(m)] * (1/|H^g|) * 2 O_{i,m} for the unique
     group g(m) containing head m.
     """
-    o = acts.o
     if grad_ge.shape != (o.shape[0], len(groups)):
         raise ShapeError(
             f"grad_ge shape {grad_ge.shape} != ({o.shape[0]}, {len(groups)})"
@@ -238,19 +206,23 @@ class BlockHareResult:
     group: GroupEnergies
 
 
-def block_stabilization(acts: HeadActivations, mask: np.ndarray, cfg: HareConfig) -> BlockHareResult:
+def block_stabilization(
+    o: np.ndarray, mask: np.ndarray, alpha: float, grouping: bool, detach_target: bool
+) -> BlockHareResult:
     """Full per-block pipeline: energies -> groups -> group loss -> dL/dO.
 
-    With grouping disabled, all heads form a single group with one shared
-    target (the no-grouping ablation).
+    o holds the block's head responses (B, M, N, d_h) and mask the 0/1
+    per-sample weights.  alpha in (0,1) is the weak-head threshold.  With
+    grouping off, all heads form a single group with one shared target
+    (the no-grouping ablation).  detach_target is as in hare_loss.
     """
-    eb = compute_energies(acts)
-    if cfg.grouping:
-        groups = dict(zip(GROUP_NAMES, partition_heads(eb, cfg.alpha).groups))
+    eb = compute_energies(o)
+    if grouping:
+        groups = dict(zip(GROUP_NAMES, partition_heads(eb, alpha).groups))
     else:
         groups = {"shared": tuple(range(eb.energies.shape[1]))}
     members = tuple(groups.values())
     ge = group_energies(eb, members)
-    loss, grad_ge = hare_loss(ge, mask, cfg)
-    grad_o = hare_grad_to_O(grad_ge, members, acts)
+    loss, grad_ge = hare_loss(ge, mask, detach_target)
+    grad_o = hare_grad_to_O(grad_ge, members, o)
     return BlockHareResult(loss=loss, grad_o=grad_o, energy=eb, groups=groups, group=ge)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..attention import AttentionParams, mha_backward, mha_forward
+from ..attention import init_attention, mha_backward, mha_forward
 from ..errors import ConfigError, ShapeError
 from ..tensor_core import SeededRng
 from .convnet import (
@@ -83,7 +83,7 @@ def init_denoiser_params(cfg: TrainConfig, rng: SeededRng) -> dict:
         if tkey is not None:
             p[f"den.{tkey}.w"] = rng.spawn(next(streams)).normal((cfg.time_dim, cout)) / np.sqrt(cfg.time_dim)
             p[f"den.{tkey}.b"] = np.zeros(cout)
-    for name, arr in AttentionParams.init(cfg.den_attention, rng.spawn(11)).items():
+    for name, arr in init_attention(cfg.den_bottleneck, rng.spawn(11)).items():
         p[f"den.attn.{name}"] = arr
     return p
 
@@ -122,7 +122,7 @@ def denoiser_forward(x_t, t, cond, cfg: TrainConfig, params: dict):
     skips.pop()  # the bottleneck output is not a skip
 
     tokens = x.reshape(bsz, x.shape[1], -1).transpose(0, 2, 1)
-    att_y, attn_cache = mha_forward(tokens, cfg.den_attention, block_params(params, "den.attn"))
+    att_y, attn_cache = mha_forward(tokens, block_params(params, "den.attn"), cfg.den_heads)
     x = x + att_y.transpose(0, 2, 1).reshape(x.shape)
 
     for name, _, _, stride, _ in _UP:
@@ -149,9 +149,8 @@ def denoiser_backward(grad_eps, cfg: TrainConfig, params: dict, cache: DenoiserC
         g = upsample2_backward(conv_back(name, tanh_backward(g, tanhs[name])))
 
     g_tokens = g.reshape(*g.shape[:2], -1).transpose(0, 2, 1)
-    att_grads, g_tok_in = mha_backward(
-        cfg.den_attention, block_params(params, "den.attn"), cache.attn_cache, g_tokens
-    )
+    bp = block_params(params, "den.attn")
+    att_grads, g_tok_in = mha_backward(bp, cfg.den_heads, cache.attn_cache, g_tokens)
     for name, arr in att_grads.items():
         grads[f"den.attn.{name}"] += arr
     g = (g_tokens + g_tok_in).transpose(0, 2, 1).reshape(g.shape)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..attention import AttentionParams, mha_backward, mha_forward
+from ..attention import PARAM_NAMES, init_attention, mha_backward, mha_forward
 from ..errors import ConfigError, ShapeError
 from ..tensor_core import SeededRng, weight_grad
 
@@ -33,9 +33,9 @@ def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     return out.transpose(0, 1, 2, 4, 3, 5).reshape(b, t * gy * gx, patch * patch)
 
 
-def block_params(params: dict, prefix: str) -> AttentionParams:
-    return AttentionParams(**{k: params[f"{prefix}.{k}"] for k in
-                              ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")})
+def block_params(params: dict, prefix: str) -> dict:
+    """The attention parameters stored under prefix, keyed by PARAM_NAMES."""
+    return {k: params[f"{prefix}.{k}"] for k in PARAM_NAMES}
 
 
 def init_encoder_params(cfg: TrainConfig, rng: SeededRng) -> dict:
@@ -50,8 +50,7 @@ def init_encoder_params(cfg: TrainConfig, rng: SeededRng) -> dict:
         "enc.pos": 0.02 * rng.normal((tokens, cfg.dim)),
     }
     for layer in range(cfg.layers):
-        ap = AttentionParams.init(cfg.enc_attention, rng.spawn(10 + layer))
-        for name, arr in ap.items():
+        for name, arr in init_attention(cfg.dim, rng.spawn(10 + layer)).items():
             params[f"enc.block{layer}.{name}"] = arr
     for stream, modality in enumerate(modalities, start=50):
         params[f"dec.{modality}.w"] = rng.spawn(stream).normal((cfg.dim, pixels)) / np.sqrt(cfg.dim)
@@ -64,8 +63,7 @@ def init_encoder_params(cfg: TrainConfig, rng: SeededRng) -> dict:
 @dataclass
 class EncoderCache:
     patches: np.ndarray
-    block_caches: list
-    acts: list  # HeadActivations per layer, for the energy statistics
+    block_caches: list  # MhaCache per layer; .o feeds the energy statistics
 
 
 def encode(x_radar: np.ndarray, x_sat: np.ndarray | None, cfg: TrainConfig, params: dict):
@@ -94,11 +92,10 @@ def encode(x_radar: np.ndarray, x_sat: np.ndarray | None, cfg: TrainConfig, para
     h = patches @ params["enc.embed.w"] + params["enc.embed.b"] + params["enc.pos"]
     block_caches = []
     for layer in range(cfg.layers):
-        y, cache = mha_forward(h, cfg.enc_attention, block_params(params, f"enc.block{layer}"))
+        y, cache = mha_forward(h, block_params(params, f"enc.block{layer}"), cfg.heads)
         h = h + y
         block_caches.append(cache)
-    return h, EncoderCache(patches=patches, block_caches=block_caches,
-                           acts=[c.acts for c in block_caches])
+    return h, EncoderCache(patches=patches, block_caches=block_caches)
 
 
 def encode_backward(
@@ -118,7 +115,7 @@ def encode_backward(
     for layer in reversed(range(cfg.layers)):
         extra = grad_o_extra[layer] if grad_o_extra is not None else None
         bp = block_params(params, f"enc.block{layer}")
-        block_grads, gx = mha_backward(cfg.enc_attention, bp, cache.block_caches[layer], g, extra)
+        block_grads, gx = mha_backward(bp, cfg.heads, cache.block_caches[layer], g, extra)
         for name, arr in block_grads.items():
             grads[f"enc.block{layer}.{name}"] += arr
         g = g + gx

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from ..attention import AttentionConfig
 from ..errors import ConfigError, DivergenceError
-from ..hare import HareConfig, block_stabilization, compute_energies, cross_sample_variance, difficulty_mask
+from ..hare import block_stabilization, compute_energies, cross_sample_variance, difficulty_mask
 from ..metrics import SEVIR_THRESHOLDS, csi_m
 from ..synthdata import generate_event, make_split
 from ..tensor_core import SeededRng
@@ -44,6 +42,7 @@ from .model import (
 
 
 MODES = ("unimodal", "multimodal")
+MASK_STRATEGIES = ("all_ones", "top_fraction_by_sample_loss")
 
 # Counts and sizes that must be >= 1; __post_init__ names the offending key.
 _SIZE_KEYS = (
@@ -57,9 +56,7 @@ _SIZE_KEYS = (
 class TrainConfig:
     """The toy model's one config: its sizes, data, loss weights and training run.
 
-    __post_init__ is the one place each of its rules is checked.  The
-    stabilization and attention configs derived from it are built once, on
-    first use, not once per call.
+    __post_init__ is the one place each of its rules is checked.
     """
 
     seed: int = 0
@@ -125,32 +122,23 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.lambda_hare > 0.0 and self.batch_size < 2:
-            raise ConfigError("lambda_hare > 0 needs batch size >= 2")
-        self.hare  # HareConfig checks alpha, mask_strategy and mask_fraction
+        # Batch statistics (the stabilization loss and the held-out probe's
+        # cross-sample variance) need two samples.
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not (0.0 < self.alpha < 1.0):
+            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
+        if self.mask_strategy not in MASK_STRATEGIES:
+            raise ConfigError(
+                f"mask_strategy must be one of {', '.join(MASK_STRATEGIES)}, got {self.mask_strategy!r}"
+            )
+        if not (0.0 < self.mask_fraction <= 1.0):
+            raise ConfigError(f"mask_fraction must be in (0,1], got {self.mask_fraction}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         # The sinusoidal embedding has 2 * (time_dim // 2) columns.
         if self.time_dim % 2:
             raise ConfigError(f"time_dim must be even, got {self.time_dim}")
-
-    @cached_property
-    def hare(self) -> HareConfig:
-        return HareConfig(
-            alpha=self.alpha,
-            detach_target=self.detach_target,
-            grouping=self.grouping,
-            mask_strategy=self.mask_strategy,
-            mask_fraction=self.mask_fraction,
-        )
-
-    @cached_property
-    def enc_attention(self) -> AttentionConfig:
-        return AttentionConfig(model_dim=self.dim, heads=self.heads)
-
-    @cached_property
-    def den_attention(self) -> AttentionConfig:
-        return AttentionConfig(model_dim=self.den_bottleneck, heads=self.den_heads)
 
     @property
     def den_in(self) -> int:
@@ -234,7 +222,10 @@ def objective(
             mask = difficulty_mask(per_sample_diff, cfg.mask_fraction)
         else:
             mask = np.ones(batch["y_future"].shape[0])
-        blocks = [block_stabilization(acts, mask, cfg.hare) for acts in enc_cache.acts]
+        blocks = [
+            block_stabilization(c.o, mask, cfg.alpha, cfg.grouping, cfg.detach_target)
+            for c in enc_cache.block_caches
+        ]
         for block in blocks:
             l_hare += block.loss / cfg.layers
         grad_o_extra = [cfg.lambda_hare * block.grad_o / cfg.layers for block in blocks]
@@ -362,7 +353,13 @@ def sample_conditioned(model: Model, f: np.ndarray, n_steps: int, rng: SeededRng
 
 
 def make_predictor(model: Model, cfg: TrainConfig, base_rng: SeededRng):
-    """Chunk predictor for rollout; decoders are never touched here."""
+    """Chunk predictor for rollout; decoders are never touched here.
+
+    Rollout feeds back radar frames only, so a multimodal model, whose
+    encoder also needs satellite frames, is refused here.
+    """
+    if cfg.mode == "multimodal":
+        raise ConfigError("mode must be unimodal to forecast: rollout has no satellite history")
     state = {"calls": 0}
 
     def predict_chunk(context: np.ndarray) -> np.ndarray:
@@ -410,7 +407,7 @@ def probe_model(model: Model, cfg: TrainConfig, probe_specs) -> tuple[list, dict
         pred = sample_conditioned(model, f, cfg.sample_steps, rng.spawn(b + 1))
         csi = csi_m(pred, data["y_future"], SEVIR_THRESHOLDS)
         csi = 0.0 if np.isnan(csi) else csi
-        energies = [compute_energies(acts) for acts in enc_cache.acts]
+        energies = [compute_energies(c.o) for c in enc_cache.block_caches]
         records.extend(_energy_trace(cfg.run_id, 0, b, energies, csi=float(csi)))
         for eb in energies:
             var = cross_sample_variance(eb)

@@ -1,0 +1,107 @@
+"""Print `name sha256` for the fixed-seed artifacts the determinism contract covers.
+
+Run from any checkout as `python tests/artifact_digests.py`; it imports
+harecast from the `src` next to this file.  Two checkouts produce identical
+output exactly when these artifacts are byte-identical, so a refactor's
+byte-identity check is one `diff` of two runs.  Not a pytest module.
+
+The set: the acceptance gate's micro `train-toy` run (plain, `--grouping
+false`, `--mode multimodal`), `verify-theory --trials 10000 --seed 0`,
+`gradcheck --seeds 2` stdout, the horizon-40 forecast of a default seed-0
+model, and the `eval` CSV of that forecast under both threshold profiles.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# One BLAS thread, set before numpy loads, so sums reduce in one order.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from harecast import cli  # noqa: E402
+from harecast.nowcast.training import TrainConfig, build_model, make_predictor, rollout  # noqa: E402
+from harecast.synthdata import generate_event, make_split, save_tensors  # noqa: E402
+from harecast.tensor_core import SeededRng  # noqa: E402
+
+# The micro train-toy arguments of acceptance criterion 10.
+MICRO = ["--steps", "3", "--n-train", "4", "--n-val", "2", "--n-test", "2",
+         "--batch-size", "2", "--probe-batches", "1", "--trace-every", "1",
+         "--height", "16", "--width", "16", "--frames-in", "2", "--frames-out", "2",
+         "--patch", "8", "--dim", "8", "--layers", "1", "--heads", "2",
+         "--den-base", "4", "--den-mid", "6", "--den-bottleneck", "8"]
+TRAIN_VARIANTS = {
+    "train-toy": [],
+    "train-toy-grouping-false": ["--grouping", "false"],
+    "train-toy-multimodal": ["--mode", "multimodal"],
+}
+HORIZON = 40
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv) -> str:
+    """`harecast <argv>` in-process; returns its stdout and fails on a nonzero exit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"harecast {' '.join(map(str, argv))} exited {code}")
+    return out.getvalue()
+
+
+def forecast() -> tuple:
+    """Horizon-40 rollout of the first test event by an untrained default seed-0 model."""
+    cfg = TrainConfig(seed=0)
+    model = build_model(cfg)
+    _, _, test_specs = make_split(cfg.seed + 10_000, cfg.n_train, cfg.n_val, cfg.n_test,
+                                  cfg.height, cfg.width)
+    radar, _ = generate_event(test_specs[0], cfg.frames_in + HORIZON, cfg.height, cfg.width)
+    predictor = make_predictor(model, cfg, SeededRng(cfg.seed, stream=8000))
+    pred = rollout(predictor, radar.frames[: cfg.frames_in], HORIZON, cfg.frames_out, cfg.frames_in)
+    return pred, radar.frames[cfg.frames_in:]
+
+
+def digests(tmp: Path):
+    for name, extra in TRAIN_VARIANTS.items():
+        out = tmp / name
+        run(["train-toy", "--out", out, *MICRO, *extra])
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            yield f"{name}/{path.relative_to(out)}", sha256(path.read_bytes())
+
+    report = tmp / "report.txt"
+    run(["verify-theory", "--trials", "10000", "--seed", "0", "--report", report])
+    yield "verify-theory/report.txt", sha256(report.read_bytes())
+
+    yield "gradcheck-seeds-2/stdout", sha256(run(["gradcheck", "--seeds", "2"]).encode())
+
+    pred, truth = forecast()
+    yield "forecast-h40-seed0", sha256(pred.tobytes())
+    for kind, frames in (("pred", pred), ("truth", truth)):
+        (tmp / kind).mkdir()
+        save_tensors(tmp / kind / "event0.bin", {"frames": frames})
+    for profile in sorted(cli.PROFILES):
+        csv = tmp / f"eval-{profile}.csv"
+        run(["eval", "--pred", tmp / "pred", "--truth", tmp / "truth",
+             "--profile", profile, "--out-csv", csv])
+        yield f"eval-{profile}.csv", sha256(csv.read_bytes())
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in digests(Path(tmp)):
+            print(f"{name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from harecast.attention import AttentionParams, mha_backward, mha_forward, sigma_min
+from harecast.attention import init_attention, mha_backward, mha_forward, sigma_min
 from harecast.bounds import EXACT_EPS, BoundReport, TheoremResult
 from harecast.nowcast.convnet import (
     conv2d_backward,
@@ -354,7 +354,7 @@ def reference_init_denoiser_params(cfg, rng) -> dict:
         "den.out.w": conv_init(rng.spawn(9), cfg.frames_out, cfg.den_base),
         "den.out.b": np.zeros(cfg.frames_out),
     }
-    for name, arr in AttentionParams.init(cfg.den_attention, rng.spawn(11)).items():
+    for name, arr in init_attention(cfg.den_bottleneck, rng.spawn(11)).items():
         p[f"den.attn.{name}"] = arr
     return p
 
@@ -384,7 +384,7 @@ def reference_denoiser_forward(x_t, t, cond, cfg, params):
 
     s_h, s_w = h2.shape[2], h2.shape[3]
     tokens = h2.reshape(bsz, cfg.den_bottleneck, s_h * s_w).transpose(0, 2, 1)
-    att_y, attn_cache = mha_forward(tokens, cfg.den_attention, block_params(params, "den.attn"))
+    att_y, attn_cache = mha_forward(tokens, block_params(params, "den.attn"), cfg.den_heads)
     h2a = h2 + att_y.transpose(0, 2, 1).reshape(h2.shape)
 
     u1 = stage("u1", upsample2_forward(h2a), 1) + h1
@@ -420,7 +420,7 @@ def reference_denoiser_backward(grad_eps, cfg, params, cache, grads):
     s_b, s_c, s_h, s_w = cache.h2_shape
     g_tokens = g_h2a.reshape(s_b, s_c, s_h * s_w).transpose(0, 2, 1)
     att_grads, g_tok_in = mha_backward(
-        cfg.den_attention, block_params(params, "den.attn"), cache.attn_cache, g_tokens
+        block_params(params, "den.attn"), cfg.den_heads, cache.attn_cache, g_tokens
     )
     for name, arr in att_grads.items():
         grads[f"den.attn.{name}"] += arr

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harecast.attention import AttentionConfig, AttentionParams, HeadActivations, mha_backward, mha_forward
+from harecast.attention import init_attention, mha_backward, mha_forward
 from harecast.errors import ConfigError
 from harecast.gradcheck import check_gradients
 from harecast.hare import (
     GROUP_NAMES,
     EnergyBatch,
     GroupEnergies,
-    HareConfig,
     block_stabilization,
     compute_energies,
     cross_sample_variance,
@@ -23,10 +22,13 @@ from harecast.hare import (
 from harecast.tensor_core import SeededRng
 
 
-def acts_from_av(a, v):
-    a = np.asarray(a, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return HeadActivations(a=a, v=v, o=np.matmul(a, v))
+# The weak-head threshold TrainConfig uses by default.
+ALPHA = 0.75
+
+
+def o_from_av(a, v):
+    """Head responses O = A V."""
+    return np.matmul(np.asarray(a, dtype=np.float64), np.asarray(v, dtype=np.float64))
 
 
 def energy_batch(values):
@@ -36,28 +38,28 @@ def energy_batch(values):
 
 class TestComputeEnergies:
     def test_identity_attention_reduces_to_value_energy(self):
-        acts = acts_from_av(np.eye(2)[None, None], np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
-        eb = compute_energies(acts)
+        o = o_from_av(np.eye(2)[None, None], np.array([[1.0, 2.0], [3.0, 4.0]])[None, None])
+        eb = compute_energies(o)
         assert eb.energies[0, 0] == 30.0
 
     def test_uniform_attention_two_tokens(self):
         # Uniform A averages rows: O = [[2,3],[2,3]], energy 4+9+4+9 = 26.
-        acts = acts_from_av(
+        o = o_from_av(
             np.full((1, 1, 2, 2), 0.5), np.array([[1.0, 2.0], [3.0, 4.0]])[None, None]
         )
-        eb = compute_energies(acts)
+        eb = compute_energies(o)
         assert eb.energies[0, 0] == pytest.approx(26.0, abs=1e-12)
 
     def test_zero_values_zero_energy(self):
-        acts = acts_from_av(np.full((2, 3, 2, 2), 0.5), np.zeros((2, 3, 2, 2)))
-        assert np.all(compute_energies(acts).energies == 0.0)
+        o = o_from_av(np.full((2, 3, 2, 2), 0.5), np.zeros((2, 3, 2, 2)))
+        assert np.all(compute_energies(o).energies == 0.0)
 
     def test_batch_and_head_means(self):
         rng = SeededRng(5)
-        acts = acts_from_av(
+        o = o_from_av(
             np.full((4, 3, 2, 2), 0.5), rng.normal((4, 3, 2, 2))
         )
-        eb = compute_energies(acts)
+        eb = compute_energies(o)
         np.testing.assert_allclose(eb.head_means, eb.energies.mean(axis=0), atol=1e-12)
         assert eb.mean_energy == pytest.approx(eb.head_means.mean(), abs=1e-12)
 
@@ -144,26 +146,26 @@ class TestHareLoss:
 
     def test_hand_evaluated_example(self):
         ge = self.one_group([[2.0], [4.0]])
-        loss, grad = hare_loss(ge, np.ones(2), HareConfig())
+        loss, grad = hare_loss(ge, np.ones(2), detach_target=True)
         assert loss == pytest.approx(0.5)
         np.testing.assert_allclose(grad, [[0.0], [0.5]])
 
     def test_identical_energies_zero_loss(self):
         ge = self.one_group([[3.0, 1.0], [3.0, 1.0]])
-        loss, grad = hare_loss(ge, np.ones(2), HareConfig())
+        loss, grad = hare_loss(ge, np.ones(2), detach_target=True)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_mask_zero_kills_everything(self):
         ge = self.one_group([[2.0], [4.0]])
-        loss, grad = hare_loss(ge, np.zeros(2), HareConfig())
+        loss, grad = hare_loss(ge, np.zeros(2), detach_target=True)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_mask_does_not_move_target(self):
         # mu stays the full-batch mean even when sample 1 is masked out.
         ge = self.one_group([[2.0], [4.0], [6.0]])
-        loss, _ = hare_loss(ge, np.array([1.0, 0.0, 1.0]), HareConfig())
+        loss, _ = hare_loss(ge, np.array([1.0, 0.0, 1.0]), detach_target=True)
         assert loss == pytest.approx(2.0 / 3.0)  # only sample 2 active: relu(6-4)/3
 
     def test_absent_group_contributes_nothing(self):
@@ -171,17 +173,17 @@ class TestHareLoss:
             values=np.array([[2.0, 99.0], [4.0, 99.0]]),
             present=np.array([True, False]),
         )
-        loss, grad = hare_loss(ge, np.ones(2), HareConfig())
+        loss, grad = hare_loss(ge, np.ones(2), detach_target=True)
         assert loss == pytest.approx(0.5)
         assert np.all(grad[:, 1] == 0.0)
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ConfigError):
-            hare_loss(self.one_group([[2.0]]), np.ones(1), HareConfig())
+            hare_loss(self.one_group([[2.0]]), np.ones(1), detach_target=True)
 
     def test_bad_mask_rejected(self):
         with pytest.raises(ConfigError):
-            hare_loss(self.one_group([[2.0], [4.0]]), np.array([0.5, 1.0]), HareConfig())
+            hare_loss(self.one_group([[2.0], [4.0]]), np.array([0.5, 1.0]), detach_target=True)
 
     def test_nonnegative_and_zero_iff_no_upside(self):
         rng = SeededRng(3)
@@ -189,19 +191,19 @@ class TestHareLoss:
             vals = np.abs(rng.normal((4, 3)))
             ge = self.one_group(vals)
             mask = (rng.uniform((4,)) < 0.7).astype(float)
-            loss, _ = hare_loss(ge, mask, HareConfig())
+            loss, _ = hare_loss(ge, mask, detach_target=True)
             assert loss >= 0.0
             upside = (vals - vals.mean(axis=0)) * mask[:, None]
             assert (loss == 0.0) == bool(np.all(upside <= 1e-15))
 
     def test_detached_gradient_is_indicator_over_batch(self):
         ge = self.one_group([[2.0], [4.0], [9.0]])
-        _, grad = hare_loss(ge, np.ones(3), HareConfig(detach_target=True))
+        _, grad = hare_loss(ge, np.ones(3), detach_target=True)
         np.testing.assert_allclose(grad, [[0.0], [0.0], [1 / 3]])
 
     def test_non_detached_gradient_includes_target_flow(self):
         ge = self.one_group([[2.0], [4.0], [9.0]])
-        _, grad = hare_loss(ge, np.ones(3), HareConfig(detach_target=False))
+        _, grad = hare_loss(ge, np.ones(3), detach_target=False)
         # One active sample: each coordinate picks up -1/B^2.
         np.testing.assert_allclose(grad, [[-1 / 9], [-1 / 9], [1 / 3 - 1 / 9]])
 
@@ -209,8 +211,7 @@ class TestHareLoss:
         rng = SeededRng(21)
         vals = np.abs(rng.normal((4, 2))) + 0.5
         ge = self.one_group(vals)
-        cfg = HareConfig(detach_target=True)
-        loss0, grad = hare_loss(ge, np.ones(4), cfg)
+        loss0, grad = hare_loss(ge, np.ones(4), detach_target=True)
         mu = vals.mean(axis=0)
         h = 1e-6
         for i in range(4):
@@ -228,15 +229,14 @@ class TestHareLoss:
         rng = SeededRng(10)
         e = np.abs(rng.normal((5, 6))) + 0.1
         perm = [3, 1, 5, 0, 2, 4]
-        cfg = HareConfig()
         eb = energy_batch(e)
-        part = partition_heads(eb, cfg.alpha)
+        part = partition_heads(eb, ALPHA)
         ge = group_energies(eb, part.groups)
-        loss, _ = hare_loss(ge, np.ones(5), cfg)
+        loss, _ = hare_loss(ge, np.ones(5), detach_target=True)
         eb_p = energy_batch(e[:, perm])
-        part_p = partition_heads(eb_p, cfg.alpha)
+        part_p = partition_heads(eb_p, ALPHA)
         ge_p = group_energies(eb_p, part_p.groups)
-        loss_p, _ = hare_loss(ge_p, np.ones(5), cfg)
+        loss_p, _ = hare_loss(ge_p, np.ones(5), detach_target=True)
         assert loss == pytest.approx(loss_p, rel=1e-12)
 
     def test_descent_in_group_energy_space(self):
@@ -246,25 +246,24 @@ class TestHareLoss:
             vals = np.abs(rng.normal((5, 3))) + 0.05
             mask = np.ones(5)
             detach = trial % 2 == 0
-            cfg = HareConfig(detach_target=detach)
             ge = self.one_group(vals)
-            loss, grad = hare_loss(ge, mask, cfg)
+            loss, grad = hare_loss(ge, mask, detach_target=detach)
             stepped = self.one_group(vals - 1e-6 * grad)
-            loss2, _ = hare_loss(stepped, mask, cfg)
+            loss2, _ = hare_loss(stepped, mask, detach_target=detach)
             assert loss2 <= loss + 1e-15
 
 
 class TestGradToO:
     def test_zero_grad_ge_zero_grad_o(self):
-        acts = acts_from_av(np.full((2, 2, 3, 3), 1 / 3), SeededRng(0).normal((2, 2, 3, 2)))
-        eb = compute_energies(acts)
+        o = o_from_av(np.full((2, 2, 3, 3), 1 / 3), SeededRng(0).normal((2, 2, 3, 2)))
+        eb = compute_energies(o)
         part = partition_heads(eb, 0.75)
-        grad_o = hare_grad_to_O(np.zeros((2, 3)), part.groups, acts)
+        grad_o = hare_grad_to_O(np.zeros((2, 3)), part.groups, o)
         assert np.all(grad_o == 0.0)
 
     def test_inactive_sample_gets_zero(self):
-        acts = acts_from_av(np.full((2, 2, 3, 3), 1 / 3), SeededRng(1).normal((2, 2, 3, 2)))
-        res = block_stabilization(acts, np.ones(2), HareConfig())
+        o = o_from_av(np.full((2, 2, 3, 3), 1 / 3), SeededRng(1).normal((2, 2, 3, 2)))
+        res = block_stabilization(o, np.ones(2), alpha=ALPHA, grouping=True, detach_target=True)
         dev = res.group.values - res.group.values.mean(axis=0)
         for i in range(2):
             if np.all(dev[i] <= 0):
@@ -274,10 +273,9 @@ class TestGradToO:
         from harecast.hare import HeadPartition
 
         o = np.ones((2, 4, 2, 2))
-        acts = HeadActivations(a=np.full((2, 4, 2, 2), 0.5), v=o.copy(), o=o)
         part = HeadPartition(strong=(0,), contextual=(1, 2), weak=(3,))
         grad_ge = np.ones((2, 3))
-        grad_o = hare_grad_to_O(grad_ge, part.groups, acts)
+        grad_o = hare_grad_to_O(grad_ge, part.groups, o)
         np.testing.assert_allclose(grad_o[:, 0], 2.0 * o[:, 0])
         np.testing.assert_allclose(grad_o[:, 1], 1.0 * o[:, 1])  # 1/|ctx| = 1/2
         np.testing.assert_allclose(grad_o[:, 3], 2.0 * o[:, 3])
@@ -286,61 +284,59 @@ class TestGradToO:
 def robust_instance(seed, bsz=4, n=4, d=8, heads=4):
     """Instance whose partition and ReLU margins are safely away from kinks."""
     for offset in range(50):
-        cfg = AttentionConfig(model_dim=d, heads=heads)
         rng = SeededRng(seed + 1000 * offset)
-        params = AttentionParams.init(cfg, rng, scale=0.6)
+        params = init_attention(d, rng, scale=0.6)
         x = rng.normal((bsz, n, d))
-        _, cache = mha_forward(x, cfg, params)
-        res = block_stabilization(cache.acts, np.ones(bsz), HareConfig())
+        _, cache = mha_forward(x, params, heads)
+        res = block_stabilization(cache.o, np.ones(bsz), alpha=ALPHA, grouping=True, detach_target=True)
         eb = res.energy
         hm = np.sort(eb.head_means)
-        thr = HareConfig().alpha * eb.mean_energy
+        thr = ALPHA * eb.mean_energy
         margins = np.abs(eb.head_means - thr)
         dev = np.abs(res.group.values - res.group.values.mean(axis=0))
         if hm[-1] - hm[-2] > 1e-2 and margins.min() > 1e-2 and dev.min() > 1e-3:
-            return cfg, params, x
+            return heads, params, x
     raise AssertionError("no robust instance found")
 
 
 class TestEndToEndGradient:
     @pytest.mark.parametrize("seed", range(20))
     def test_full_chain_matches_finite_differences(self, seed):
-        cfg, params, x = robust_instance(seed)
-        hcfg = HareConfig(detach_target=False)
+        heads, params, x = robust_instance(seed)
+        mask = np.ones(x.shape[0])
 
         def loss():
-            _, cache = mha_forward(x, cfg, params)
-            return block_stabilization(cache.acts, np.ones(x.shape[0]), hcfg).loss
+            _, cache = mha_forward(x, params, heads)
+            return block_stabilization(cache.o, mask, alpha=ALPHA, grouping=True, detach_target=False).loss
 
-        _, cache = mha_forward(x, cfg, params)
-        res = block_stabilization(cache.acts, np.ones(x.shape[0]), hcfg)
-        grads, _ = mha_backward(cfg, params, cache, None, res.grad_o)
+        _, cache = mha_forward(x, params, heads)
+        res = block_stabilization(cache.o, mask, alpha=ALPHA, grouping=True, detach_target=False)
+        grads, _ = mha_backward(params, heads, cache, None, res.grad_o)
         report = check_gradients(
-            loss, dict(params.items()), dict(grads.items()), SeededRng(seed + 3),
+            loss, params, grads, SeededRng(seed + 3),
             coords_per_param=8,
         )
         assert report.ok, report.failures
         assert report.max_rel_err < 1e-5
 
     def test_detached_chain_vs_frozen_target_loss(self):
-        cfg, params, x = robust_instance(123)
-        hcfg = HareConfig(detach_target=True)
-        _, cache0 = mha_forward(x, cfg, params)
-        res0 = block_stabilization(cache0.acts, np.ones(x.shape[0]), hcfg)
+        heads, params, x = robust_instance(123)
+        _, cache0 = mha_forward(x, params, heads)
+        res0 = block_stabilization(cache0.o, np.ones(x.shape[0]), alpha=ALPHA, grouping=True, detach_target=True)
         groups0 = tuple(res0.groups.values())
         mu0 = res0.group.values.mean(axis=0)
 
         def frozen_loss():
-            _, cache = mha_forward(x, cfg, params)
-            eb = compute_energies(cache.acts)
+            _, cache = mha_forward(x, params, heads)
+            eb = compute_energies(cache.o)
             ge = group_energies(eb, groups0)
             dev = np.maximum(ge.values - mu0, 0.0)
             dev[:, ~ge.present] = 0.0
             return float(dev.sum() / x.shape[0])
 
-        grads, _ = mha_backward(cfg, params, cache0, None, res0.grad_o)
+        grads, _ = mha_backward(params, heads, cache0, None, res0.grad_o)
         report = check_gradients(
-            frozen_loss, dict(params.items()), dict(grads.items()), SeededRng(5),
+            frozen_loss, params, grads, SeededRng(5),
             coords_per_param=8,
         )
         assert report.ok, report.failures
@@ -381,11 +377,11 @@ class TestMaskStrategies:
 
 class TestNoGroupingMode:
     def test_single_shared_target(self):
-        acts = acts_from_av(np.full((3, 2, 2, 2), 0.5), SeededRng(6).normal((3, 2, 2, 2)))
-        res = block_stabilization(acts, np.ones(3), HareConfig(grouping=False))
+        o = o_from_av(np.full((3, 2, 2, 2), 0.5), SeededRng(6).normal((3, 2, 2, 2)))
+        res = block_stabilization(o, np.ones(3), alpha=ALPHA, grouping=False, detach_target=True)
         assert res.groups == {"shared": (0, 1)}
         assert res.group.values.shape == (3, 1)
-        per_sample = compute_energies(acts).energies.mean(axis=1)
+        per_sample = compute_energies(o).energies.mean(axis=1)
         mu = per_sample.mean()
         want = np.maximum(per_sample - mu, 0.0).sum() / 3
         assert res.loss == pytest.approx(want, rel=1e-12)

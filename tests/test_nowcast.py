@@ -76,7 +76,7 @@ class TestEncode:
         params = init_encoder_params(cfg, SeededRng(1))
         f, cache = encode(SeededRng(2).uniform((2, 5, 32, 32)), None, cfg, params)
         assert f.shape == (2, 5 * 16, 16)
-        assert len(cache.acts) == 1
+        assert len(cache.block_caches) == 1
 
     def test_zero_input_zero_params_gives_positional_embedding(self):
         cfg = TrainConfig(height=16, width=16, frames_in=2, patch=8, dim=8, layers=2, heads=2)
@@ -405,6 +405,18 @@ class TestRollout:
         assert out_a.min() >= 0.0 and out_a.max() <= 1.0
         np.testing.assert_array_equal(out_a, out_b)
 
+    def test_multimodal_predictor_refused_before_encoding(self, monkeypatch):
+        import harecast.nowcast.training as training_mod
+
+        cfg = micro_cfg(mode="multimodal")
+        model = build_model(cfg)
+        calls = []
+        monkeypatch.setattr(training_mod, "encode", lambda *a, **k: calls.append(1))
+        with pytest.raises(ConfigError, match="mode"):
+            predict = make_predictor(model, cfg, SeededRng(30))
+            rollout(predict, SeededRng(31).uniform((2, 16, 16)), horizon=2, chunk=2, frames_in=2)
+        assert not calls
+
 
 class TestTraining:
     def test_two_runs_identical(self):
@@ -427,6 +439,11 @@ class TestTraining:
     def test_hare_needs_batch_statistics(self):
         with pytest.raises(ConfigError):
             train(micro_cfg(batch_size=1, lambda_hare=1.0))
+
+    def test_batch_of_one_rejected_without_stabilization(self):
+        # The held-out probe's cross-sample variance needs two samples too.
+        with pytest.raises(ConfigError, match="batch_size must be >= 2"):
+            micro_cfg(batch_size=1, n_val=1, lambda_hare=0.0)
 
     @pytest.mark.parametrize("hare_enabled", [True, False])
     def test_forward_only_objective_matches_full_pass(self, hare_enabled):

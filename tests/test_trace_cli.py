@@ -270,6 +270,11 @@ class TestCliCommands:
         ("--den-bottleneck", "15", "den_bottleneck must be a multiple of den_heads"),
         ("--mode", "bogus", "mode must be"),
         ("--mask-strategy", "bogus", "mask_strategy"),
+        ("--mask-fraction", "0", "mask_fraction must be in (0,1]"),
+        ("--mask-fraction", "1.5", "mask_fraction must be in (0,1]"),
+        ("--alpha", "0", "alpha must be in (0,1)"),
+        ("--alpha", "1", "alpha must be in (0,1)"),
+        ("--batch-size", "1", "batch_size must be >= 2"),
     ])
     def test_invalid_value_rejected_before_training(self, tmp_path, capsys, monkeypatch, flag, raw, names):
         calls = []
