@@ -362,8 +362,8 @@ def _sweep_statistics(y, coupling, noise, offset):
     return mse, bias_sq, vy, vyh
 
 
-def run_verification_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> SuiteReport:
-    """Lemma and theorem sweeps; rhs_scale is a fault-injection hook.
+def run_verification_suite(trials: int, seed: int) -> SuiteReport:
+    """Lemma and theorem sweeps.
 
     trials scales the error-bound sweep per dimension (default 10^4 per
     dim); the head-propagation sweep runs 200 (W, distribution) pairs and
@@ -374,12 +374,6 @@ def run_verification_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> Su
         raise ConfigError("trials must be >= 1")
     reports: list[BoundReport] = []
     refusals: list[tuple[str, str, bool]] = []
-
-    def admit(rep: BoundReport) -> BoundReport:
-        if rhs_scale != 1.0:
-            scaled = _report(rep.name, rep.lhs, rep.rhs * rhs_scale, rep.eps_num, rep.constants)
-            return scaled
-        return rep
 
     # Error-bound sweep: all trials of a dimension are drawn at once, then
     # reduced block by block of trials (see _sweep_statistics).
@@ -395,7 +389,7 @@ def run_verification_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> Su
         mse, bias_sq, vy, vyh = _sweep_statistics(y, coupling, noise, offset)
         # Free this dimension's draws before the next, larger ones.
         del y, noise
-        rhs = (bias_sq + (np.sqrt(vyh) - np.sqrt(vy)) ** 2) * rhs_scale
+        rhs = bias_sq + (np.sqrt(vyh) - np.sqrt(vy)) ** 2
         margins = mse - rhs
         eps = EXACT_EPS * np.maximum(1.0, np.abs(mse))
         worst = int(np.argmin(margins - (-eps)))
@@ -419,14 +413,14 @@ def run_verification_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> Su
         spec = DistributionSpec(kind=kind, dim=dim, n=10_000, seed=seed + 1000 + i)
         f = draw_samples(spec)
         head = _random_head(rng, dim, smin=0.3, smax=2.5)
-        reports.append(admit(check_lemma1(head, f)))
+        reports.append(check_lemma1(head, f))
     # Equality case: a scaled identity head saturates the bound.
     eq_samples = draw_samples(DistributionSpec(kind="gaussian", dim=3, n=10_000, seed=seed + 77))
     eq_head = LinearHead.from_matrix(2.0 * np.eye(3))
     eq = check_lemma1(eq_head, eq_samples)
     eq.name = "head_variance_propagation_equality"
     eq.constants["equality_gap_rel"] = abs(eq.lhs - eq.rhs) / eq.rhs
-    reports.append(admit(eq))
+    reports.append(eq)
 
     # Chained bound, analytic equality configuration: F doubles a centered
     # Gaussian, identity head, targets equal inputs.
@@ -442,7 +436,7 @@ def run_verification_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> Su
             rep.name = "analytic_" + rep.name
             if rep.name == "analytic_mse_vs_target_variance":
                 rep.constants["equality_gap_rel"] = abs(rep.lhs - rep.rhs) / rep.lhs
-            reports.append(admit(rep))
+            reports.append(rep)
 
     # Random admissible configurations.
     for i in range(100):
@@ -461,7 +455,7 @@ def run_verification_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> Su
         else:
             for rep in res.reports:
                 rep.name = f"random{i}_" + rep.name
-                reports.append(admit(rep))
+                reports.append(rep)
 
     # Refusal probes: these MUST refuse.
     x = draw_samples(DistributionSpec(kind="gaussian", dim=2, n=4_000, seed=seed + 11))

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import PARAM_NAMES
 from .bounds import render_report, run_verification_suite
 from .errors import ConfigError, DataError, HarecastError, ShapeError
 from .gradcheck import run_gradcheck_suite
@@ -81,6 +80,8 @@ def check_output_path(flag: str, path, directory: bool = False) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.split_by_csi and args.per_batch:
+        raise ConfigError("--split-by-csi and --per-batch cannot be combined: per-batch grids are not split")
     for flag, path in (("--out-csv", args.out_csv), ("--out-svg", args.out_svg)):
         if path:
             check_output_path(flag, path)
@@ -111,7 +112,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify_theory(args) -> int:
     if args.report:
         check_output_path("--report", args.report)
-    suite = run_verification_suite(trials=args.trials, seed=args.seed, rhs_scale=args.rhs_scale)
+    suite = run_verification_suite(trials=args.trials, seed=args.seed)
     text = render_report(suite)
     if args.report:
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
@@ -241,6 +242,10 @@ def cmd_eval(args) -> int:
     thresholds = PROFILES[args.profile]
     pred_frames = [_load_frames(preds[n]) for n in sorted(preds)]
     truth_frames = [_load_frames(truths[n]) for n in sorted(truths)]
+    # Frames pair up within a file, never across a file boundary.
+    for name, pred, truth in zip(sorted(preds), pred_frames, truth_frames):
+        if pred.shape != truth.shape:
+            raise ShapeError(f"{name}: prediction shape {pred.shape} != truth shape {truth.shape}")
     if len({f.shape[1:] for f in pred_frames + truth_frames}) > 1:
         raise ShapeError("frame sizes differ across files")
 
@@ -265,16 +270,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    perturb = None
-    if args.perturb_eps is not None and args.perturb_param is None:
-        raise ConfigError("--perturb-eps needs --perturb-param (the parameter to perturb)")
-    if args.perturb_param is not None:
-        if args.perturb_param not in PARAM_NAMES:
-            raise ConfigError(
-                f"--perturb-param must be one of {', '.join(PARAM_NAMES)}, got {args.perturb_param!r}"
-            )
-        perturb = (args.perturb_param, 1e-3 if args.perturb_eps is None else args.perturb_eps)
-    ok, rows = run_gradcheck_suite(args.seed, seeds=args.seeds, perturb=perturb)
+    ok, rows = run_gradcheck_suite(args.seed, seeds=args.seeds)
     for kind, seed, rep in rows:
         status = "ok" if rep.ok else "FAIL"
         print(
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
-    p.add_argument("--rhs-scale", type=float, default=1.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_theory)
 
     p = sub.add_parser("train-toy", help="train the toy forecaster")
@@ -332,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--perturb-param", help=argparse.SUPPRESS)
-    p.add_argument("--perturb-eps", type=float, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

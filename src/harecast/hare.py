@@ -5,7 +5,9 @@ response O = A V.  Heads are partitioned per batch into a single strongest
 head, weakly activated heads (batch-mean energy below alpha times the
 global head mean), and a contextual remainder.  The stabilization loss is a
 masked one-sided (ReLU) penalty pulling each sample's group-level energy
-down toward the batch-mean target of that group.
+down toward the batch-mean target of that group.  The weak and contextual
+groups can be empty; an empty group has no group energy and no term in the
+loss.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ from .errors import ConfigError, ShapeError
 __all__ = [
     "EnergyBatch",
     "HeadPartition",
-    "GroupEnergies",
     "compute_energies",
     "partition_heads",
-    "group_energies",
     "hare_loss",
-    "hare_grad_to_O",
     "cross_sample_variance",
     "difficulty_mask",
     "block_stabilization",
@@ -60,18 +59,6 @@ class HeadPartition:
         return (self.strong, self.contextual, self.weak)
 
 
-@dataclass
-class GroupEnergies:
-    """Per-sample mean energy per group; empty groups are flagged absent.
-
-    values: (B, G) in group order; columns of absent groups are 0 but must
-    never be read (present[g] is False and the loss skips them).
-    """
-
-    values: np.ndarray
-    present: np.ndarray
-
-
 def compute_energies(o: np.ndarray) -> EnergyBatch:
     """Energy e[i,m] = ||O_{i,m}||_F^2 of responses o (B, M, N, d_h), plus batch/head means."""
     e = np.sum(o * o, axis=(2, 3))
@@ -97,34 +84,19 @@ def partition_heads(eb: EnergyBatch, alpha: float) -> HeadPartition:
     return HeadPartition(strong=(strong,), contextual=contextual, weak=weak)
 
 
-def group_energies(eb: EnergyBatch, groups: tuple[tuple[int, ...], ...]) -> GroupEnergies:
-    """Per-sample mean energy of each group of head indices; empty groups flagged absent."""
-    bsz, nheads = eb.energies.shape
-    values = np.zeros((bsz, len(groups)))
-    present = np.zeros(len(groups), dtype=bool)
-    for g, members in enumerate(groups):
-        if any(m < 0 or m >= nheads for m in members):
-            raise ShapeError(f"group {g} references invalid heads {members}")
-        if members:
-            present[g] = True
-            values[:, g] = eb.energies[:, list(members)].mean(axis=1)
-    return GroupEnergies(values=values, present=present)
-
-
-def hare_loss(ge: GroupEnergies, mask: np.ndarray, detach_target: bool):
+def hare_loss(values: np.ndarray, mask: np.ndarray, detach_target: bool):
     """Masked one-sided deviation from the batch-mean group targets.
 
-    loss = (1/B) sum_i mask_i sum_g relu(e_i^g - mu_g) with mu_g the mean
-    of e^g over the FULL batch (the mask never biases the target).  Returns
-    (loss, grad wrt the group energies, shape (B, G)).  Absent groups
-    contribute nothing.
+    values (B, G) holds each sample's group energy e_i^g, one column per
+    non-empty group.  loss = (1/B) sum_i mask_i sum_g relu(e_i^g - mu_g)
+    with mu_g the mean of e^g over the FULL batch (the mask never biases the
+    target).  Returns (loss, grad wrt values, shape (B, G)).
 
     With detach_target the target is a constant in the gradient: it is a
     reference the samples move toward, not a quantity they push around.
     Otherwise (the ablation) the gradient includes the -1/B flow through
     every sample's contribution to mu_g.
     """
-    values = ge.values
     bsz = values.shape[0]
     if bsz < 2:
         raise ConfigError("batch statistics need at least 2 samples")
@@ -137,8 +109,6 @@ def hare_loss(ge: GroupEnergies, mask: np.ndarray, detach_target: bool):
     loss = 0.0
     grad = np.zeros_like(values)
     for g in range(values.shape[1]):
-        if not ge.present[g]:
-            continue
         mu = values[:, g].mean()
         dev = values[:, g] - mu
         active = (dev > 0.0).astype(np.float64)
@@ -147,26 +117,6 @@ def hare_loss(ge: GroupEnergies, mask: np.ndarray, detach_target: bool):
         if not detach_target:
             grad[:, g] -= np.sum(mask * active) / bsz**2
     return loss, grad
-
-
-def hare_grad_to_O(grad_ge: np.ndarray, groups: tuple[tuple[int, ...], ...], o: np.ndarray) -> np.ndarray:
-    """Chain the group-energy gradient back to the head responses o (B, M, N, d_h).
-
-    dL/dO_{i,m} = grad_ge[i, g(m)] * (1/|H^g|) * 2 O_{i,m} for the unique
-    group g(m) containing head m.
-    """
-    if grad_ge.shape != (o.shape[0], len(groups)):
-        raise ShapeError(
-            f"grad_ge shape {grad_ge.shape} != ({o.shape[0]}, {len(groups)})"
-        )
-    grad_o = np.zeros_like(o)
-    for g, members in enumerate(groups):
-        if not members:
-            continue
-        coeff = grad_ge[:, g] * (1.0 / len(members))
-        for m in members:
-            grad_o[:, m] = coeff[:, None, None] * 2.0 * o[:, m]
-    return grad_o
 
 
 def cross_sample_variance(eb: EnergyBatch) -> np.ndarray:
@@ -194,16 +144,17 @@ def difficulty_mask(per_sample_loss: np.ndarray, fraction: float) -> np.ndarray:
 class BlockHareResult:
     """Stabilization outcome of one attention block.
 
-    groups maps each group name to its head indices, in the column order
-    of group.values: strong/contextual/weak, or one "shared" group of all
-    heads when grouping is off.
+    groups maps each group name to its head indices, empty groups included:
+    strong/contextual/weak, or one "shared" group of all heads when grouping
+    is off.  group_energies (B, G) holds the group energies of the non-empty
+    groups, in groups order.
     """
 
     loss: float
     grad_o: np.ndarray
     energy: EnergyBatch
     groups: dict[str, tuple[int, ...]]
-    group: GroupEnergies
+    group_energies: np.ndarray
 
 
 def block_stabilization(
@@ -215,14 +166,24 @@ def block_stabilization(
     per-sample weights.  alpha in (0,1) is the weak-head threshold.  With
     grouping off, all heads form a single group with one shared target
     (the no-grouping ablation).  detach_target is as in hare_loss.
+
+    A group's energy is the mean of its heads' energies, so head m of group
+    g gets dL/dO_{i,m} = dL/de_i^g * (1/|H^g|) * 2 O_{i,m}; an empty group
+    takes no part.
     """
     eb = compute_energies(o)
     if grouping:
         groups = dict(zip(GROUP_NAMES, partition_heads(eb, alpha).groups))
     else:
         groups = {"shared": tuple(range(eb.energies.shape[1]))}
-    members = tuple(groups.values())
-    ge = group_energies(eb, members)
-    loss, grad_ge = hare_loss(ge, mask, detach_target)
-    grad_o = hare_grad_to_O(grad_ge, members, o)
-    return BlockHareResult(loss=loss, grad_o=grad_o, energy=eb, groups=groups, group=ge)
+    members = [list(heads) for heads in groups.values() if heads]
+    values = np.zeros((o.shape[0], len(members)))
+    for g, heads in enumerate(members):
+        values[:, g] = eb.energies[:, heads].mean(axis=1)
+    loss, grad_ge = hare_loss(values, mask, detach_target)
+    grad_o = np.zeros_like(o)
+    for g, heads in enumerate(members):
+        coeff = grad_ge[:, g] * (1.0 / len(heads))
+        for m in heads:
+            grad_o[:, m] = coeff[:, None, None] * 2.0 * o[:, m]
+    return BlockHareResult(loss=loss, grad_o=grad_o, energy=eb, groups=groups, group_energies=values)

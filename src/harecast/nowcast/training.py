@@ -411,8 +411,7 @@ def probe_model(model: Model, cfg: TrainConfig, probe_specs) -> tuple[list, dict
         records.extend(_energy_trace(cfg.run_id, 0, b, energies, csi=float(csi)))
         for eb in energies:
             var = cross_sample_variance(eb)
-            mean = eb.energies.mean(axis=0)
-            norm_vars.append(var / np.maximum(mean**2, 1e-300))
+            norm_vars.append(var / np.maximum(eb.head_means**2, 1e-300))
     summary = {
         "batches": n_batches,
         "normalized_energy_variance": float(np.mean(norm_vars)),

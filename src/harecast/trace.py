@@ -66,6 +66,18 @@ def write_trace(path, records) -> None:
             fh.write("\n")
 
 
+def _typed(obj: dict, key: str, kinds: tuple, what: str):
+    """obj[key] if it is one of the JSON kinds (never a boolean), else TypeError."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str) -> float:
+    return float(_typed(obj, key, (int, float), "a number"))
+
+
 def read_trace(path) -> list[TraceRecord]:
     path = Path(path)
     records = []
@@ -78,14 +90,11 @@ def read_trace(path) -> list[TraceRecord]:
                     continue
                 obj = json.loads(line)
                 rec = TraceRecord(
-                    run_id=str(obj["run_id"]),
-                    step=int(obj["step"]),
-                    batch_id=int(obj["batch_id"]),
-                    layer=int(obj["layer"]),
-                    head=int(obj["head"]),
-                    sample=int(obj["sample"]),
-                    energy=float(obj["energy"]),
-                    batch_csi_m=float(obj["batch_csi_m"]) if "batch_csi_m" in obj else None,
+                    run_id=_typed(obj, "run_id", (str,), "a string"),
+                    **{key: _typed(obj, key, (int,), "an integer")
+                       for key in ("step", "batch_id", "layer", "head", "sample")},
+                    energy=_number(obj, "energy"),
+                    batch_csi_m=_number(obj, "batch_csi_m") if "batch_csi_m" in obj else None,
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: malformed trace record at line {lineno}: {exc}") from exc

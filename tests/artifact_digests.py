@@ -6,7 +6,8 @@ output exactly when these artifacts are byte-identical, so a refactor's
 byte-identity check is one `diff` of two runs.  Not a pytest module.
 
 The set: the acceptance gate's micro `train-toy` run (plain, `--grouping
-false`, `--mode multimodal`), `verify-theory --trials 10000 --seed 0`,
+false`, `--mode multimodal`, and the difficulty mask with a non-detached
+target), `verify-theory --trials 10000 --seed 0`,
 `gradcheck --seeds 2` stdout, the horizon-40 forecast of a default seed-0
 model, and the `eval` CSV of that forecast under both threshold profiles.
 """
@@ -41,6 +42,8 @@ TRAIN_VARIANTS = {
     "train-toy": [],
     "train-toy-grouping-false": ["--grouping", "false"],
     "train-toy-multimodal": ["--mode", "multimodal"],
+    "train-toy-masked-nodetach": ["--mask-strategy", "top_fraction_by_sample_loss",
+                                  "--detach-target", "false"],
 }
 HORIZON = 40
 

@@ -284,8 +284,8 @@ class TestSuite:
         assert fast[0] != fast[1]
         assert fast == reference
 
-    def test_fault_injection_trips(self):
-        bad = run_verification_suite(trials=50, seed=7, rhs_scale=1.1)
+    def test_fault_injection_trips(self, broken_lemma1):
+        bad = run_verification_suite(trials=50, seed=7)
         assert not bad.ok
 
     def test_trials_validated(self):

@@ -9,13 +9,10 @@ from harecast.gradcheck import check_gradients
 from harecast.hare import (
     GROUP_NAMES,
     EnergyBatch,
-    GroupEnergies,
     block_stabilization,
     compute_energies,
     cross_sample_variance,
     difficulty_mask,
-    group_energies,
-    hare_grad_to_O,
     hare_loss,
     partition_heads,
 )
@@ -34,6 +31,16 @@ def o_from_av(a, v):
 def energy_batch(values):
     e = np.asarray(values, dtype=np.float64)
     return EnergyBatch(energies=e, head_means=e.mean(axis=0), mean_energy=float(e.mean()))
+
+
+def o_with_energies(values):
+    """Head responses (B, M, 1, 1) whose energies are `values` (up to one rounding)."""
+    return np.sqrt(np.asarray(values, dtype=np.float64))[:, :, None, None]
+
+
+def stabilize(o, mask=None):
+    mask = np.ones(o.shape[0]) if mask is None else mask
+    return block_stabilization(o, mask, alpha=ALPHA, grouping=True, detach_target=True)
 
 
 class TestComputeEnergies:
@@ -107,42 +114,32 @@ class TestPartition:
 
 class TestGroupEnergies:
     def test_contextual_mean(self):
-        eb = energy_batch([[5.0, 1.0, 3.0, 2.0]] * 2)
-        part = partition_heads(eb, 0.75)
-        # bar_e = 2.75; weak = {1, 2.0625? no: heads below 2.0625} -> {1, 2}.
-        ge = group_energies(eb, part.groups)
-        assert part.strong == (0,)
+        # bar_e = 2.75, so the weak heads are those below 2.0625: heads 1 and 3.
+        res = stabilize(o_with_energies([[5.0, 1.0, 3.0, 2.0]] * 2))
+        assert res.groups["strong"] == (0,)
         idx = GROUP_NAMES.index("strong")
-        assert ge.values[0, idx] == 5.0
+        assert res.group_energies[0, idx] == pytest.approx(5.0, rel=1e-15)
 
     def test_explicit_group_mean(self):
-        eb = energy_batch([[5.0, 1.0, 3.0, 2.0]] * 2)
-        from harecast.hare import HeadPartition
-
-        part = HeadPartition(strong=(0,), contextual=(2,), weak=(1, 3))
-        ge = group_energies(eb, part.groups)
-        assert ge.values[0, 1] == 3.0  # singleton contextual
-        assert ge.values[0, 2] == 1.5  # mean of heads 1 and 3
+        res = stabilize(o_with_energies([[5.0, 1.0, 3.0, 2.0]] * 2))
+        assert res.groups == {"strong": (0,), "contextual": (2,), "weak": (1, 3)}
+        assert res.group_energies[0, 1] == pytest.approx(3.0, rel=1e-15)  # singleton contextual
+        assert res.group_energies[0, 2] == pytest.approx(1.5, rel=1e-15)  # mean of heads 1 and 3
 
     def test_singleton_strong_is_exact(self):
-        eb = energy_batch([[4.0, 1.0], [7.0, 1.0]])
-        ge = group_energies(eb, partition_heads(eb, 0.75).groups)
-        np.testing.assert_array_equal(ge.values[:, 0], eb.energies[:, 0])
+        res = stabilize(o_with_energies([[4.0, 1.0], [7.0, 1.0]]))
+        np.testing.assert_array_equal(res.group_energies[:, 0], res.energy.energies[:, 0])
 
     def test_empty_group_is_absent_not_zero(self):
-        eb = energy_batch([[3.0, 3.0, 3.0]] * 2)
-        ge = group_energies(eb, partition_heads(eb, 0.75).groups)
-        weak_idx = GROUP_NAMES.index("weak")
-        assert not ge.present[weak_idx]
+        # All heads equal: no weak head, so the weak group has no column.
+        res = stabilize(o_with_energies([[3.0, 3.0, 3.0]] * 2))
+        assert res.groups["weak"] == ()
+        assert res.group_energies.shape == (2, 2)
 
 
 class TestHareLoss:
-    def one_group(self, values, present=None):
-        values = np.asarray(values, dtype=np.float64)
-        return GroupEnergies(
-            values=values,
-            present=np.ones(values.shape[1], dtype=bool) if present is None else present,
-        )
+    def one_group(self, values):
+        return np.asarray(values, dtype=np.float64)
 
     def test_hand_evaluated_example(self):
         ge = self.one_group([[2.0], [4.0]])
@@ -169,13 +166,15 @@ class TestHareLoss:
         assert loss == pytest.approx(2.0 / 3.0)  # only sample 2 active: relu(6-4)/3
 
     def test_absent_group_contributes_nothing(self):
-        ge = GroupEnergies(
-            values=np.array([[2.0, 99.0], [4.0, 99.0]]),
-            present=np.array([True, False]),
-        )
-        loss, grad = hare_loss(ge, np.ones(2), detach_target=True)
-        assert loss == pytest.approx(0.5)
-        assert np.all(grad[:, 1] == 0.0)
+        # Head means (5, 4, 4) all reach 0.75 * 13/3, so the weak group is
+        # empty.  Strong (4, 6) and contextual (3.5, 4.5) each put sample 1
+        # above target: loss = (1 + 0.5) / 2, with no term for the weak group.
+        o = o_with_energies([[4.0, 4.0, 3.0], [6.0, 4.0, 5.0]])
+        res = stabilize(o)
+        assert res.groups["weak"] == ()
+        assert res.loss == pytest.approx(0.75, rel=1e-12)
+        assert np.all(res.grad_o[0] == 0.0)
+        np.testing.assert_allclose(res.grad_o[1, :, 0, 0], [1.0, 0.5, 0.5] * o[1, :, 0, 0], rtol=1e-12)
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -229,15 +228,8 @@ class TestHareLoss:
         rng = SeededRng(10)
         e = np.abs(rng.normal((5, 6))) + 0.1
         perm = [3, 1, 5, 0, 2, 4]
-        eb = energy_batch(e)
-        part = partition_heads(eb, ALPHA)
-        ge = group_energies(eb, part.groups)
-        loss, _ = hare_loss(ge, np.ones(5), detach_target=True)
-        eb_p = energy_batch(e[:, perm])
-        part_p = partition_heads(eb_p, ALPHA)
-        ge_p = group_energies(eb_p, part_p.groups)
-        loss_p, _ = hare_loss(ge_p, np.ones(5), detach_target=True)
-        assert loss == pytest.approx(loss_p, rel=1e-12)
+        o = o_with_energies(e)
+        assert stabilize(o).loss == pytest.approx(stabilize(o[:, perm]).loss, rel=1e-12)
 
     def test_descent_in_group_energy_space(self):
         # A small step along -grad never increases the loss (both target modes).
@@ -255,30 +247,30 @@ class TestHareLoss:
 
 class TestGradToO:
     def test_zero_grad_ge_zero_grad_o(self):
+        # A zero mask zeroes the group-energy gradient and so dL/dO.
         o = o_from_av(np.full((2, 2, 3, 3), 1 / 3), SeededRng(0).normal((2, 2, 3, 2)))
-        eb = compute_energies(o)
-        part = partition_heads(eb, 0.75)
-        grad_o = hare_grad_to_O(np.zeros((2, 3)), part.groups, o)
-        assert np.all(grad_o == 0.0)
+        res = stabilize(o, mask=np.zeros(2))
+        assert np.all(res.grad_o == 0.0)
 
     def test_inactive_sample_gets_zero(self):
         o = o_from_av(np.full((2, 2, 3, 3), 1 / 3), SeededRng(1).normal((2, 2, 3, 2)))
-        res = block_stabilization(o, np.ones(2), alpha=ALPHA, grouping=True, detach_target=True)
-        dev = res.group.values - res.group.values.mean(axis=0)
+        res = stabilize(o)
+        dev = res.group_energies - res.group_energies.mean(axis=0)
         for i in range(2):
             if np.all(dev[i] <= 0):
                 assert np.all(res.grad_o[i] == 0.0)
 
     def test_scaling_by_group_size(self):
-        from harecast.hare import HeadPartition
-
-        o = np.ones((2, 4, 2, 2))
-        part = HeadPartition(strong=(0,), contextual=(1, 2), weak=(3,))
-        grad_ge = np.ones((2, 3))
-        grad_o = hare_grad_to_O(grad_ge, part.groups, o)
-        np.testing.assert_allclose(grad_o[:, 0], 2.0 * o[:, 0])
-        np.testing.assert_allclose(grad_o[:, 1], 1.0 * o[:, 1])  # 1/|ctx| = 1/2
-        np.testing.assert_allclose(grad_o[:, 3], 2.0 * o[:, 3])
+        # Head means (10, 5, 5, 1.5) against 0.75 * 5.375: strong (0,),
+        # contextual (1, 2), weak (3,).  Sample 1 sits above every target, so
+        # dL/de^g = 1/B = 1/2 there and dL/dO = (1/2) * (1/|H^g|) * 2 O.
+        o = o_with_energies([[8.0, 4.0, 4.0, 1.0], [12.0, 6.0, 6.0, 2.0]])
+        res = stabilize(o)
+        assert res.groups == {"strong": (0,), "contextual": (1, 2), "weak": (3,)}
+        assert np.all(res.grad_o[0] == 0.0)
+        np.testing.assert_allclose(res.grad_o[1, 0], 1.0 * o[1, 0], rtol=1e-12)
+        np.testing.assert_allclose(res.grad_o[1, 1], 0.5 * o[1, 1], rtol=1e-12)  # 1/|ctx| = 1/2
+        np.testing.assert_allclose(res.grad_o[1, 3], 1.0 * o[1, 3], rtol=1e-12)
 
 
 def robust_instance(seed, bsz=4, n=4, d=8, heads=4):
@@ -293,7 +285,7 @@ def robust_instance(seed, bsz=4, n=4, d=8, heads=4):
         hm = np.sort(eb.head_means)
         thr = ALPHA * eb.mean_energy
         margins = np.abs(eb.head_means - thr)
-        dev = np.abs(res.group.values - res.group.values.mean(axis=0))
+        dev = np.abs(res.group_energies - res.group_energies.mean(axis=0))
         if hm[-1] - hm[-2] > 1e-2 and margins.min() > 1e-2 and dev.min() > 1e-3:
             return heads, params, x
     raise AssertionError("no robust instance found")
@@ -323,16 +315,14 @@ class TestEndToEndGradient:
         heads, params, x = robust_instance(123)
         _, cache0 = mha_forward(x, params, heads)
         res0 = block_stabilization(cache0.o, np.ones(x.shape[0]), alpha=ALPHA, grouping=True, detach_target=True)
-        groups0 = tuple(res0.groups.values())
-        mu0 = res0.group.values.mean(axis=0)
+        groups0 = [list(g) for g in res0.groups.values() if g]
+        mu0 = res0.group_energies.mean(axis=0)
 
         def frozen_loss():
             _, cache = mha_forward(x, params, heads)
-            eb = compute_energies(cache.o)
-            ge = group_energies(eb, groups0)
-            dev = np.maximum(ge.values - mu0, 0.0)
-            dev[:, ~ge.present] = 0.0
-            return float(dev.sum() / x.shape[0])
+            e = compute_energies(cache.o).energies
+            ge = np.stack([e[:, g].mean(axis=1) for g in groups0], axis=1)
+            return float(np.maximum(ge - mu0, 0.0).sum() / x.shape[0])
 
         grads, _ = mha_backward(params, heads, cache0, None, res0.grad_o)
         report = check_gradients(
@@ -380,7 +370,7 @@ class TestNoGroupingMode:
         o = o_from_av(np.full((3, 2, 2, 2), 0.5), SeededRng(6).normal((3, 2, 2, 2)))
         res = block_stabilization(o, np.ones(3), alpha=ALPHA, grouping=False, detach_target=True)
         assert res.groups == {"shared": (0, 1)}
-        assert res.group.values.shape == (3, 1)
+        assert res.group_energies.shape == (3, 1)
         per_sample = compute_energies(o).energies.mean(axis=1)
         mu = per_sample.mean()
         want = np.maximum(per_sample - mu, 0.0).sum() / 3
