@@ -14,6 +14,7 @@ Identical arguments and seeds produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -50,10 +51,11 @@ def _fmt(value) -> str:
 def write_csv(path, header, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    # Only a field holding a comma, quote or newline (say, a run id) is quoted.
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def check_output_path(flag: str, path, directory: bool = False) -> None:

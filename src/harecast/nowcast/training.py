@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import ConfigError, DivergenceError
 from ..hare import block_stabilization, compute_energies, cross_sample_variance, difficulty_mask
 from ..metrics import SEVIR_THRESHOLDS, csi_m
-from ..synthdata import generate_event, make_split
+from ..synthdata import make_split, render_radar, render_satellite
 from ..tensor_core import SeededRng
 from ..trace import TraceRecord
 from .diffusion import (
@@ -253,20 +253,15 @@ def objective(
 
 
 def render_dataset(specs, cfg: TrainConfig):
-    """Materialize (context, future, sat-context) arrays for event specs."""
+    """Materialize (context, future, sat-context) arrays; sat-context only if multimodal."""
     t_total = cfg.frames_in + cfg.frames_out
-    ctx, fut, sat = [], [], []
-    for spec in specs:
-        radar, satellite = generate_event(spec, t_total, cfg.height, cfg.width)
-        ctx.append(radar.frames[: cfg.frames_in])
-        fut.append(radar.frames[cfg.frames_in:])
-        sat.append(satellite.frames[: cfg.frames_in])
+    radar = [render_radar(spec, t_total, cfg.height, cfg.width) for spec in specs]
     out = {
-        "x_radar": np.stack(ctx),
-        "y_future": np.stack(fut),
+        "x_radar": np.stack([r[: cfg.frames_in] for r in radar]),
+        "y_future": np.stack([r[cfg.frames_in:] for r in radar]),
     }
     if cfg.mode == "multimodal":
-        out["x_sat"] = np.stack(sat)
+        out["x_sat"] = np.stack([render_satellite(r[: cfg.frames_in]) for r in radar])
     return out
 
 

@@ -44,6 +44,8 @@ def heatmap_svg(panels: list) -> str:
         f'<text x="{GAP}" y="16" font-family="monospace" font-size="{LABEL_FONT + 2}">{TITLE}</text>',
     ]
     for p, ((label, _), grid) in enumerate(zip(panels, grids)):
+        # A per-batch label carries a free-text run id.
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
         x0 = GAP + p * (panel_w + GAP) + MARGIN_LEFT
         y0 = MARGIN_TOP
         parts.append(

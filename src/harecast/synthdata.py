@@ -24,6 +24,8 @@ __all__ = [
     "EventSpec",
     "FrameSequence",
     "generate_event",
+    "render_radar",
+    "render_satellite",
     "random_event_spec",
     "make_split",
     "save_tensors",
@@ -93,8 +95,8 @@ def _blur_shift(frames: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def generate_event(spec: EventSpec, t_len: int, height: int, width: int):
-    """Render (radar, satellite) FrameSequences for one event.
+def render_radar(spec: EventSpec, t_len: int, height: int, width: int) -> np.ndarray:
+    """Render one event's (t_len, height, width) radar stack.
 
     Radar frame t is the clipped sum of Gaussians advected by t*velocity
     with amplitude amp*exp(growth*t), evaluated in closed form.
@@ -114,10 +116,20 @@ def generate_event(spec: EventSpec, t_len: int, height: int, width: int):
         amp = b.amplitude * np.exp(b.growth * steps)
         radar += amp * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2 * b.radius**2))
     np.clip(radar, 0.0, 1.0, out=radar)
-    sat = np.clip(_blur_shift(radar), 0.0, 1.0)
+    return radar
+
+
+def render_satellite(radar: np.ndarray) -> np.ndarray:
+    """Blurred, shifted, clipped satellite stack; frame t reads radar frame t only."""
+    return np.clip(_blur_shift(radar), 0.0, 1.0)
+
+
+def generate_event(spec: EventSpec, t_len: int, height: int, width: int):
+    """Render (radar, satellite) FrameSequences for one event."""
+    radar = render_radar(spec, t_len, height, width)
     return (
         FrameSequence(frames=radar, modality="radar"),
-        FrameSequence(frames=sat, modality="satellite"),
+        FrameSequence(frames=render_satellite(radar), modality="satellite"),
     )
 
 

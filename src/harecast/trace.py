@@ -163,14 +163,17 @@ def analyze_trace(records, split_by_csi: bool = False, per_batch: bool = False) 
 
     With split_by_csi, batches whose CSI-M is at or above the mean over all
     batches form the 'accurate' group, the rest 'inaccurate'; the combined
-    'all' group is always emitted.
+    'all' group is always emitted.  per_batch labels each grid
+    '<run_id>/batch_<step>_<batch_id>' and cannot be combined with split_by_csi.
     """
+    if split_by_csi and per_batch:
+        raise ConfigError("--split-by-csi and --per-batch cannot be combined: per-batch grids are not split")
     if not records:
         raise DataError("empty trace")
     grids = _batch_grids(records)
     if per_batch:
         return [
-            VarianceHeatmap(label=f"batch_{step}_{batch_id}", grid=grid, batches=1)
+            VarianceHeatmap(label=f"{run}/batch_{step}_{batch_id}", grid=grid, batches=1)
             for (run, step, batch_id), (grid, _) in grids.items()
         ]
     heatmaps = []

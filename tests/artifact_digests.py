@@ -9,7 +9,9 @@ The set: the acceptance gate's micro `train-toy` run (plain, `--grouping
 false`, `--mode multimodal`, and the difficulty mask with a non-detached
 target), `verify-theory --trials 10000 --seed 0`,
 `gradcheck --seeds 2` stdout, the horizon-40 forecast of a default seed-0
-model, and the `eval` CSV of that forecast under both threshold profiles.
+model, the `eval` CSV of that forecast under both threshold profiles, and
+the rendered train split (`x_radar` and `y_future` at the default config,
+`x_sat` at the micro multimodal config).
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from harecast import cli  # noqa: E402
-from harecast.nowcast.training import TrainConfig, build_model, make_predictor, rollout  # noqa: E402
+from harecast.nowcast.training import (  # noqa: E402
+    TrainConfig, build_model, make_predictor, render_dataset, rollout,
+)
 from harecast.synthdata import generate_event, make_split, save_tensors  # noqa: E402
 from harecast.tensor_core import SeededRng  # noqa: E402
 
@@ -60,6 +64,13 @@ def run(argv) -> str:
     if code != 0:
         raise SystemExit(f"harecast {' '.join(map(str, argv))} exited {code}")
     return out.getvalue()
+
+
+def train_split(cfg: TrainConfig) -> dict:
+    """The arrays `train` renders for cfg's train split."""
+    train_specs, _, _ = make_split(cfg.seed + 10_000, cfg.n_train, cfg.n_val, cfg.n_test,
+                                   cfg.height, cfg.width)
+    return render_dataset(train_specs, cfg)
 
 
 def forecast() -> tuple:
@@ -97,6 +108,14 @@ def digests(tmp: Path):
         run(["eval", "--pred", tmp / "pred", "--truth", tmp / "truth",
              "--profile", profile, "--out-csv", csv])
         yield f"eval-{profile}.csv", sha256(csv.read_bytes())
+
+    default = train_split(TrainConfig(seed=0))
+    for key in ("x_radar", "y_future"):
+        yield f"train-split-default/{key}", sha256(default[key].tobytes())
+    micro = cli.build_parser().parse_args(["train-toy", "--out", str(tmp / "unused"), *MICRO,
+                                           *TRAIN_VARIANTS["train-toy-multimodal"]])
+    x_sat = train_split(cli.build_train_config(micro))["x_sat"]
+    yield "train-split-micro-multimodal/x_sat", sha256(x_sat.tobytes())
 
 
 def main() -> int:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracles import reference_generate_event
 
 from harecast.errors import ConfigError
+from harecast.nowcast.training import TrainConfig, render_dataset
 from harecast.synthdata import (
     BlobSpec,
     EventSpec,
@@ -13,6 +14,8 @@ from harecast.synthdata import (
     load_tensors,
     make_split,
     random_event_spec,
+    render_radar,
+    render_satellite,
     save_tensors,
 )
 
@@ -73,6 +76,11 @@ class TestGenerateEvent:
         assert np.sum(high.frames > thr) > np.sum(low.frames > thr)
 
 
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestBitwiseReference:
     """The whole-stack renderer equals the frame-by-frame one bit for bit."""
 
@@ -80,9 +88,8 @@ class TestBitwiseReference:
     def assert_bitwise(spec, t_len, height, width):
         radar, sat = generate_event(spec, t_len, height, width)
         ref_radar, ref_sat = reference_generate_event(spec, t_len, height, width)
-        for got, want in ((radar.frames, ref_radar), (sat.frames, ref_sat)):
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert_bits_equal(radar.frames, ref_radar)
+        assert_bits_equal(sat.frames, ref_sat)
 
     @pytest.mark.parametrize("shape", [(25, 32, 32), (45, 32, 32), (7, 16, 24), (1, 8, 8)])
     @pytest.mark.parametrize("seed", [0, 1, 17, 2024, 90210])
@@ -101,6 +108,38 @@ class TestBitwiseReference:
     ], ids=["zero_growth", "zero_amplitude"])
     def test_degenerate_specs(self, spec):
         self.assert_bitwise(spec, 25, 32, 32)
+
+
+class TestSplitRendering:
+    """render_dataset renders radar alone and satellite context frames only, bit for bit."""
+
+    @staticmethod
+    def dataset_and_reference(cfg):
+        specs = make_split(cfg.seed + 10_000, cfg.n_train, cfg.n_val, cfg.n_test,
+                           cfg.height, cfg.width)[0]
+        t_total = cfg.frames_in + cfg.frames_out
+        refs = [reference_generate_event(spec, t_total, cfg.height, cfg.width) for spec in specs]
+        return render_dataset(specs, cfg), np.stack([r for r, _ in refs]), np.stack([s for _, s in refs])
+
+    def test_default_unimodal_renders_radar_only(self):
+        cfg = TrainConfig()
+        data, radar, _ = self.dataset_and_reference(cfg)
+        assert set(data) == {"x_radar", "y_future"}
+        assert_bits_equal(data["x_radar"], radar[:, : cfg.frames_in])
+        assert_bits_equal(data["y_future"], radar[:, cfg.frames_in:])
+
+    def test_multimodal_satellite_is_reference_context(self):
+        cfg = TrainConfig(mode="multimodal", n_train=8)
+        data, radar, sat = self.dataset_and_reference(cfg)
+        assert_bits_equal(data["x_radar"], radar[:, : cfg.frames_in])
+        assert_bits_equal(data["x_sat"], sat[:, : cfg.frames_in])
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("shape", [(25, 32, 32), (7, 16, 24)])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_satellite_frames_are_independent(self, shape, k, seed):
+        radar = render_radar(random_event_spec(seed, *shape[1:]), *shape)
+        assert_bits_equal(render_satellite(radar[:k]), render_satellite(radar)[:k])
 
 
 class TestMakeSplit:

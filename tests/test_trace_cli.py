@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -194,7 +196,39 @@ class TestAnalyze:
 
     def test_per_batch_mode(self):
         heat = analyze_trace(small_trace(), per_batch=True)
-        assert [hm.label for hm in heat] == ["batch_0_0", "batch_0_1"]
+        assert [hm.label for hm in heat] == ["r/batch_0_0", "r/batch_0_1"]
+
+    def test_per_batch_labels_name_the_run(self, tmp_path):
+        # Two runs share step 0, batch 0; their grids differ and so must their labels.
+        records = [
+            dataclasses.replace(rec(sample=s, energy=e), run_id=run)
+            for run, energies in (("a", (1.0, 2.0)), ("b", (1.0, 3.0)))
+            for s, e in enumerate(energies)
+        ]
+        heat = analyze_trace(records, per_batch=True)
+        assert [(hm.label, hm.grid[0, 0]) for hm in heat] == [("a/batch_0_0", 0.5), ("b/batch_0_0", 2.0)]
+        trace, csv_path = tmp_path / "t.jsonl", tmp_path / "hm.csv"
+        write_trace(trace, records)
+        assert main(["analyze", "--input", str(trace), "--per-batch", "--out-csv", str(csv_path)]) == 0
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a/batch_0_0", "b/batch_0_0"]
+
+    def test_per_batch_run_id_survives_csv_and_svg(self, tmp_path):
+        run_id = 'a,"<b>'
+        trace, csv_path, svg = tmp_path / "t.jsonl", tmp_path / "hm.csv", tmp_path / "hm.svg"
+        write_trace(trace, [dataclasses.replace(rec(sample=s), run_id=run_id) for s in (0, 1)])
+        assert main(["analyze", "--input", str(trace), "--per-batch",
+                     "--out-csv", str(csv_path), "--out-svg", str(svg)]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["group", "layer", "head", "variance"], [f"{run_id}/batch_0_0", "0", "0", "0.0"]]
+        root = ElementTree.parse(svg).getroot()
+        groups = {el.get("data-group") for el in root.iter("{http://www.w3.org/2000/svg}rect")}
+        assert f"{run_id}/batch_0_0" in groups
+
+    def test_split_and_per_batch_refused(self):
+        with pytest.raises(ConfigError, match="^--split-by-csi and --per-batch cannot be combined"):
+            analyze_trace(small_trace(), split_by_csi=True, per_batch=True)
 
 
 class TestCliCommands:
