@@ -79,6 +79,16 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(b, n, m * dh)
 
 
+def _project(t: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """t @ w + b as one (B·N, d) @ (d, d) GEMM, bitwise as NumPy's per-sample GEMMs.
+
+    At N = 1 NumPy's per-sample product is a gemv, whose bits may differ.
+    """
+    if t.shape[1] == 1:
+        return t @ w + b
+    return (t.reshape(-1, t.shape[-1]) @ w).reshape(t.shape) + b
+
+
 def mha_forward(x: np.ndarray, params: dict, heads: int):
     """Scaled-dot-product multi-head attention over a token batch.
 
@@ -98,15 +108,13 @@ def mha_forward(x: np.ndarray, params: dict, heads: int):
         raise ConfigError(f"model dim {d} not divisible by heads {heads}")
 
     scale = 1.0 / np.sqrt(d // heads)
-    q = _split_heads(x @ params["wq"] + params["bq"], heads)
-    k = _split_heads(x @ params["wk"] + params["bk"], heads)
-    v = _split_heads(x @ params["wv"] + params["bv"], heads)
+    q, k, v = (_split_heads(_project(x, params["w" + c], params["b" + c]), heads) for c in "qkv")
 
     scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
     a = softmax_rows(scores)
     o = np.matmul(a, v)
 
-    y = _merge_heads(o) @ params["wo"] + params["bo"]
+    y = _project(_merge_heads(o), params["wo"], params["bo"])
     return y, MhaCache(x=x, q=q, k=k, a=a, v=v, o=o)
 
 

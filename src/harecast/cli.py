@@ -28,6 +28,7 @@ from .gradcheck import run_gradcheck_suite
 from .metrics import METEONET_THRESHOLDS, SEVIR_THRESHOLDS, evaluate_pair
 from .svg import heatmap_svg
 from .synthdata import load_tensors, save_tensors
+from .tensor_core import check_seed
 from .trace import analyze_trace, read_trace, write_trace
 from .nowcast.training import TrainConfig, train
 
@@ -112,6 +113,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
+    check_seed("--seed", args.seed)
     if args.report:
         check_output_path("--report", args.report)
     suite = run_verification_suite(trials=args.trials, seed=args.seed)
@@ -270,6 +272,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    check_seed("--seed", args.seed)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     ok, rows = run_gradcheck_suite(args.seed, seeds=args.seeds)

@@ -19,7 +19,7 @@ from ..errors import ConfigError, DivergenceError
 from ..hare import block_stabilization, compute_energies, cross_sample_variance, difficulty_mask
 from ..metrics import SEVIR_THRESHOLDS, csi_m
 from ..synthdata import make_split, render_radar, render_satellite
-from ..tensor_core import SeededRng
+from ..tensor_core import SeededRng, check_seed
 from ..trace import TraceRecord
 from .diffusion import (
     SIZE_MULTIPLE,
@@ -96,6 +96,7 @@ class TrainConfig:
     run_id: str = "toy"
 
     def __post_init__(self):
+        check_seed("seed", self.seed)
         for key in _SIZE_KEYS:
             value = getattr(self, key)
             if value < 1:

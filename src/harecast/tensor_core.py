@@ -4,32 +4,43 @@ All numerics run on 64-bit floats carried by numpy arrays in row-major
 order.  Randomness comes from a counter-based Philox stream, so identical
 seeds reproduce identical value streams on every platform; normal variates
 are produced by a fixed Box-Muller transform over that uniform stream.
-Invalid draw shapes raise ShapeError.
+Invalid draw shapes raise ShapeError; a seed or stream outside the Philox
+key's [0, 2**64) raises ConfigError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 __all__ = [
     "SeededRng",
+    "check_seed",
     "softmax_rows",
     "weight_grad",
 ]
 
 
 def softmax_rows(a) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow stability."""
+    """Row-wise softmax with max-subtraction, bitwise as NumPy's max and sum over the last axis.
+
+    Rows shorter than 8 are reduced column by column: a max is exact in any
+    order, and NumPy adds fewer than 8 terms left to right.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 1:
         raise ShapeError("softmax_rows needs at least one axis")
-    shifted = a - np.max(a, axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=-1, keepdims=True)
+    n = a.shape[-1]
+    if n >= 8:
+        shifted = a - np.max(a, axis=-1, keepdims=True)
+        ex = np.exp(shifted)
+        return ex / np.sum(ex, axis=-1, keepdims=True)
+    ex = np.exp(a - functools.reduce(np.maximum, [a[..., j] for j in range(n)])[..., None])
+    return ex / sum((ex[..., j] for j in range(1, n)), ex[..., 0])[..., None]
 
 
 def weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -50,6 +61,12 @@ def _check_shape(shape) -> tuple[int, ...]:
     return dims
 
 
+def check_seed(name: str, seed: int) -> None:
+    """Refuse a user seed outside [0, 2**63): the suites add at most ~10^4 to it."""
+    if not 0 <= seed < 2**63:
+        raise ConfigError(f"{name} must be in [0, 2**63), got {seed}")
+
+
 class SeededRng:
     """Deterministic random stream keyed by (seed, stream).
 
@@ -61,10 +78,10 @@ class SeededRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if not 0 <= value < 2**64:
+                raise ConfigError(f"SeededRng {name} must be in [0, 2**64), got {value}")
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def spawn(self, stream: int) -> "SeededRng":

@@ -7,11 +7,12 @@ byte-identity check is one `diff` of two runs.  Not a pytest module.
 
 The set: the acceptance gate's micro `train-toy` run (plain, `--grouping
 false`, `--mode multimodal`, and the difficulty mask with a non-detached
-target), `verify-theory --trials 10000 --seed 0`,
-`gradcheck --seeds 2` stdout, the horizon-40 forecast of a default seed-0
-model, the `eval` CSV of that forecast under both threshold profiles, and
-the rendered train split (`x_radar` and `y_future` at the default config,
-`x_sat` at the micro multimodal config).
+target), `verify-theory --trials 10000 --seed 0`, the two
+attention_pushforward clouds (dim 4 and 6, 10^4 samples each) that open its
+head-variance checks, `gradcheck --seeds 2` stdout, the horizon-40 forecast
+of a default seed-0 model, the `eval` CSV of that forecast under both
+threshold profiles, and the rendered train split (`x_radar` and `y_future`
+at the default config, `x_sat` at the micro multimodal config).
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from harecast import cli  # noqa: E402
+from harecast.bounds import DistributionSpec, draw_samples  # noqa: E402
 from harecast.nowcast.training import (  # noqa: E402
     TrainConfig, build_model, make_predictor, render_dataset, rollout,
 )
-from harecast.synthdata import generate_event, make_split, save_tensors  # noqa: E402
+from harecast.synthdata import make_split, render_radar, save_tensors  # noqa: E402
 from harecast.tensor_core import SeededRng  # noqa: E402
 
 # The micro train-toy arguments of acceptance criterion 10.
@@ -79,10 +81,10 @@ def forecast() -> tuple:
     model = build_model(cfg)
     _, _, test_specs = make_split(cfg.seed + 10_000, cfg.n_train, cfg.n_val, cfg.n_test,
                                   cfg.height, cfg.width)
-    radar, _ = generate_event(test_specs[0], cfg.frames_in + HORIZON, cfg.height, cfg.width)
+    radar = render_radar(test_specs[0], cfg.frames_in + HORIZON, cfg.height, cfg.width)
     predictor = make_predictor(model, cfg, SeededRng(cfg.seed, stream=8000))
-    pred = rollout(predictor, radar.frames[: cfg.frames_in], HORIZON, cfg.frames_out, cfg.frames_in)
-    return pred, radar.frames[cfg.frames_in:]
+    pred = rollout(predictor, radar[: cfg.frames_in], HORIZON, cfg.frames_out, cfg.frames_in)
+    return pred, radar[cfg.frames_in:]
 
 
 def digests(tmp: Path):
@@ -95,6 +97,11 @@ def digests(tmp: Path):
     report = tmp / "report.txt"
     run(["verify-theory", "--trials", "10000", "--seed", "0", "--report", report])
     yield "verify-theory/report.txt", sha256(report.read_bytes())
+    # Head-variance checks 2 and 11 of the seed-0 suite: its first
+    # attention_pushforward clouds at dim 4 and dim 6.
+    for dim, seed in ((4, 1002), (6, 1011)):
+        cloud = draw_samples(DistributionSpec(kind="attention_pushforward", dim=dim, n=10_000, seed=seed))
+        yield f"verify-theory/attention-pushforward-dim{dim}", sha256(cloud.tobytes())
 
     yield "gradcheck-seeds-2/stdout", sha256(run(["gradcheck", "--seeds", "2"]).encode())
 

@@ -218,6 +218,31 @@ def naive_max_pool(frames, pool):
 # ---------------------------------------------------------------------------
 
 
+def reference_softmax_rows(a):
+    """Row softmax as NumPy's own max and sum over the last axis."""
+    shifted = a - np.max(a, axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / np.sum(ex, axis=-1, keepdims=True)
+
+
+def reference_mha_forward(x, params, heads):
+    """Multi-head attention with 3-D (B, N, d) @ (d, d) projections.
+
+    Returns (y, q, k, a, v, o), the head tensors split (B, M, N, d_h).
+    """
+    b, n, d = x.shape
+    dh = d // heads
+
+    def split(t):
+        return t.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = (split(x @ params["w" + c] + params["b" + c]) for c in "qkv")
+    a = reference_softmax_rows(np.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)))
+    o = np.matmul(a, v)
+    y = o.transpose(0, 2, 1, 3).reshape(b, n, d) @ params["wo"] + params["bo"]
+    return y, q, k, a, v, o
+
+
 def box_muller_normal(uniform, shape):
     """Out-of-place Box-Muller over uniform((2, pairs)) draws.
 

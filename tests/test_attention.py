@@ -12,7 +12,7 @@ from harecast.errors import ConfigError, ShapeError, StateError
 from harecast.gradcheck import check_gradients
 from harecast.tensor_core import SeededRng
 
-from oracles import jacobi_min_singular, naive_mha
+from oracles import jacobi_min_singular, naive_mha, reference_mha_forward
 
 
 def small_setup(seed, bsz=2, n=4, d=8, heads=2):
@@ -69,6 +69,30 @@ class TestForward:
         _, params, x = small_setup(0, d=8)
         with pytest.raises(ConfigError):
             mha_forward(x, params, heads=3)
+
+
+class TestBitwiseReference:
+    """mha_forward's flattened projections against 3-D (B, N, d) @ (d, d) ones, bit for bit."""
+
+    @pytest.mark.parametrize("bsz,n,d,heads", [
+        (2_000, 2, 2, 1), (2_000, 3, 2, 1),       # the bound suite's pushforward blocks
+        (8, 80, 32, 4), (1, 64, 16, 2),           # model-sized blocks
+        (2, 5, 8, 2), (2, 8, 8, 2), (2, 16, 8, 2),  # gradcheck's blocks
+        (3, 1, 8, 2),                             # one token per sample
+    ])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_reference(self, bsz, n, d, heads, transposed):
+        rng = SeededRng(41, stream=bsz * n + d)
+        params = init_attention(d, rng, scale=1.0)
+        for name in PARAM_NAMES[4:]:
+            params[name] = rng.normal((d,))
+        # transposed: (B, d, N) storage read as (B, N, d), like the denoiser's bottleneck tokens
+        x = rng.normal((bsz, d, n)).transpose(0, 2, 1) if transposed else rng.normal((bsz, n, d))
+        y, cache = mha_forward(x, params, heads)
+        want = reference_mha_forward(x, params, heads)
+        for got, ref in zip((y, cache.q, cache.k, cache.a, cache.v, cache.o), want, strict=True):
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestInit:

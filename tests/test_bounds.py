@@ -73,10 +73,17 @@ class TestTotalVariance:
 class TestBitwiseReferences:
     """The rewritten moment paths against their one-pass references, bit for bit."""
 
-    @pytest.mark.parametrize("dim", BITWISE_DIMS)
+    @pytest.mark.parametrize("dim", BITWISE_DIMS + (8,))
     def test_total_variance(self, dim):
         rng = SeededRng(31, stream=dim)
         x = rng.normal((3_001, dim)) * (1.0 + 100.0 * rng.uniform((1, dim))) + 5.0
+        assert_bitwise(total_variance(x), moment_total_variance(x))
+
+    def test_total_variance_fortran_order(self):
+        # NumPy sums the columns of a Fortran-ordered array pairwise, not row by row
+        rng = SeededRng(31, stream=99)
+        x = np.asfortranarray(rng.normal((3_001, 3)) * (1.0 + 100.0 * rng.uniform((1, 3))) + 5.0)
+        assert_bitwise(bounds._centred(x)[1], x.mean(axis=0))
         assert_bitwise(total_variance(x), moment_total_variance(x))
 
     def test_total_variance_flattens_trailing_axes(self):

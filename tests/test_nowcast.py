@@ -445,6 +445,14 @@ class TestTraining:
         with pytest.raises(ConfigError, match="batch_size must be >= 2"):
             micro_cfg(batch_size=1, n_val=1, lambda_hare=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 3])
+    def test_seed_outside_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*63\)"):
+            TrainConfig(seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert TrainConfig(seed=2**63 - 1).seed == 2**63 - 1
+
     @pytest.mark.parametrize("hare_enabled", [True, False])
     def test_forward_only_objective_matches_full_pass(self, hare_enabled):
         cfg = micro_cfg()

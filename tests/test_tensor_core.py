@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harecast.errors import ShapeError
+from harecast.errors import ConfigError, ShapeError
 from harecast.tensor_core import SeededRng, softmax_rows
 
-from oracles import box_muller_normal
+from oracles import box_muller_normal, reference_softmax_rows
 
 
 class TestSoftmaxRows:
@@ -34,6 +34,20 @@ class TestSoftmaxRows:
         out = softmax_rows(a)
         np.testing.assert_allclose(out.sum(axis=-1), np.ones(m), atol=1e-12)
         assert np.all(out >= 0)
+
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_bitwise_equals_reference(self, n):
+        # short rows are reduced column by column, 8 or more by NumPy
+        rng = SeededRng(13, stream=n)
+        a = rng.normal((300, 3, n)) * (1.0 + 40.0 * rng.uniform((300, 3, 1))) - 5.0
+        got, want = softmax_rows(a), reference_softmax_rows(a)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_extreme_row_bitwise_equals_reference(self):
+        a = np.array([[1000.0, 0.0], [0.0, 1000.0], [-1000.0, 0.0]])
+        np.testing.assert_array_equal(softmax_rows(a).view(np.uint64),
+                                      reference_softmax_rows(a).view(np.uint64))
 
 
 class TestSeededRng:
@@ -84,3 +98,15 @@ class TestSeededRng:
             want = box_muller_normal(ref.uniform, shape)
             assert got.shape == want.shape == shape
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("key", [
+        {"seed": -3}, {"seed": 2**64}, {"seed": 2**64 - 3, "stream": -1}, {"seed": 0, "stream": 2**64},
+    ])
+    def test_key_outside_philox_range_rejected(self, key):
+        # masking would make SeededRng(-3) draw what SeededRng(2**64 - 3) draws
+        with pytest.raises(ConfigError, match="must be in \\[0, 2\\*\\*64\\)"):
+            SeededRng(**key)
+
+    def test_largest_key_accepted(self):
+        top = 2**64 - 1
+        assert SeededRng(top, stream=top).uniform((3,)).shape == (3,)

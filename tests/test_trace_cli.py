@@ -490,6 +490,30 @@ class TestCliCommands:
         assert "verdict" not in captured.out
 
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-theory", "--trials", "5", "--seed", "-5"),
+        ("verify-theory", "--trials", "5", "--seed", "99999999999999999999999"),
+        ("gradcheck", "--seeds", "1", "--seed", "-1"),
+        ("gradcheck", "--seeds", "1", "--seed", str(2**63)),
+        ("train-toy", "--seed", "-1"),
+        ("train-toy", "--seed", str(2**64 - 3)),
+    ])
+    def test_seed_outside_range_refused_before_work(self, tmp_path, capsys, monkeypatch, argv):
+        def sentinel(*args, **kwargs):
+            raise AssertionError("ran with a refused seed")
+
+        for name in ("run_verification_suite", "run_gradcheck_suite", "train"):
+            monkeypatch.setattr(cli, name, sentinel)
+        out = tmp_path / "out"
+        if argv[0] == "train-toy":
+            argv = (*argv, "--out", str(out))
+        assert self.run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be in [0, 2**63)" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestCliEval:
     def make_dirs(self, tmp_path, mutate=None):
         pred_dir = tmp_path / "pred"
