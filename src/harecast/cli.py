@@ -90,8 +90,10 @@ def cmd_analyze(args) -> int:
             check_output_path(flag, path)
     records = read_trace(args.input)
     heatmaps = analyze_trace(records, split_by_csi=args.split_by_csi, per_batch=args.per_batch)
+    # A group with no batches has no grid: no CSV rows, no SVG panel.
+    drawn = [hm for hm in heatmaps if hm.grid is not None]
     rows = []
-    for hm in heatmaps:
+    for hm in drawn:
         layers, heads = hm.grid.shape
         for layer in range(layers):
             for head in range(heads):
@@ -99,11 +101,12 @@ def cmd_analyze(args) -> int:
     if args.out_csv:
         write_csv(args.out_csv, ("group", "layer", "head", "variance"), rows)
     if args.out_svg:
-        svg = heatmap_svg([(hm.label, hm.grid) for hm in heatmaps])
+        svg = heatmap_svg([(hm.label, hm.grid) for hm in drawn])
         Path(args.out_svg).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out_svg).write_text(svg, encoding="utf-8", newline="\n")
     for hm in heatmaps:
-        print(f"group {hm.label}: {hm.batches} batches, max variance {_fmt(float(hm.grid.max()))}")
+        peak = "" if hm.grid is None else f", max variance {_fmt(float(hm.grid.max()))}"
+        print(f"group {hm.label}: {hm.batches} batches{peak}")
     return EXIT_OK
 
 
@@ -255,9 +258,10 @@ def cmd_eval(args) -> int:
 
     scores = evaluate_pair(np.concatenate(pred_frames), np.concatenate(truth_frames), thresholds)
     per_threshold = scores["csi_per_threshold"]
-    rows = [(f"csi_{thr}", per_threshold.get(thr, "skipped")) for thr in thresholds]
+    rows = [(f"csi_{thr}", per_threshold.get(thr, np.nan)) for thr in thresholds]
     rows += [(name, scores[name]) for name in ("csi_m", "pooled_csi_4", "pooled_csi_16", "hss", "ssim")]
-    all_rows = [(name, _fmt(v) if isinstance(v, float) else v) for name, v in rows]
+    # A metric undefined on this input (no threshold with events) is skipped, never nan.
+    all_rows = [(name, "skipped" if np.isnan(v) else _fmt(v)) for name, v in rows]
     if args.out_csv:
         write_csv(args.out_csv, ("metric", "value"), all_rows)
     width = max(len(name) for name, _ in all_rows)

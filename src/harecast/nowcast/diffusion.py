@@ -20,7 +20,7 @@ import numpy as np
 
 from ..attention import init_attention, mha_backward, mha_forward
 from ..errors import ConfigError, ShapeError
-from ..tensor_core import SeededRng
+from ..tensor_core import SeededRng, mse
 from .convnet import (
     conv2d_backward,
     conv2d_forward,
@@ -182,13 +182,10 @@ def diffusion_loss(x_t, t, cond, eps, cfg: TrainConfig, params: dict, grads: dic
     wrt the conditioning vector; otherwise g_cond is None.
     """
     eps_hat, cache = denoiser_forward(x_t, t, cond, cfg, params)
-    diff = eps_hat - eps
-    count = diff.size
-    loss = float(np.sum(diff * diff)) / count
-    per_sample = np.sum(diff * diff, axis=(1, 2, 3)) * (diff.shape[0] / count)
+    loss, per_sample, grad_eps = mse(eps_hat, eps)
     g_cond = None
     if grads is not None:
-        g_cond = denoiser_backward(2.0 * diff / count, cfg, params, cache, grads)
+        g_cond = denoiser_backward(grad_eps, cfg, params, cache, grads)
     return loss, per_sample, g_cond
 
 

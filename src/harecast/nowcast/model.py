@@ -17,13 +17,10 @@ import numpy as np
 
 from ..attention import PARAM_NAMES, init_attention, mha_backward, mha_forward
 from ..errors import ConfigError, ShapeError
-from ..tensor_core import SeededRng, weight_grad
+from ..tensor_core import SeededRng, mse, weight_grad
 
 if TYPE_CHECKING:
     from .training import TrainConfig
-
-MODALITIES = ("radar", "satellite")
-
 
 def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     """(B, T, H, W) -> (B, T*(H/P)*(W/P), P*P), frame-major token order."""
@@ -33,6 +30,11 @@ def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     return out.transpose(0, 1, 2, 4, 3, 5).reshape(b, t * gy * gx, patch * patch)
 
 
+def modalities(cfg: TrainConfig) -> tuple:
+    """The input modalities, in patch-feature order: radar, then satellite if multimodal."""
+    return ("radar", "satellite") if cfg.mode == "multimodal" else ("radar",)
+
+
 def block_params(params: dict, prefix: str) -> dict:
     """The attention parameters stored under prefix, keyed by PARAM_NAMES."""
     return {k: params[f"{prefix}.{k}"] for k in PARAM_NAMES}
@@ -40,9 +42,8 @@ def block_params(params: dict, prefix: str) -> dict:
 
 def init_encoder_params(cfg: TrainConfig, rng: SeededRng) -> dict:
     """Embedding, attention blocks, one decoder per modality and the conditioning projection."""
-    modalities = MODALITIES[: 2 if cfg.mode == "multimodal" else 1]
     pixels = cfg.patch * cfg.patch
-    patch_vec = len(modalities) * pixels
+    patch_vec = len(modalities(cfg)) * pixels
     tokens = cfg.frames_in * (cfg.height // cfg.patch) * (cfg.width // cfg.patch)
     params = {
         "enc.embed.w": rng.normal((patch_vec, cfg.dim)) / np.sqrt(patch_vec),
@@ -52,7 +53,7 @@ def init_encoder_params(cfg: TrainConfig, rng: SeededRng) -> dict:
     for layer in range(cfg.layers):
         for name, arr in init_attention(cfg.dim, rng.spawn(10 + layer)).items():
             params[f"enc.block{layer}.{name}"] = arr
-    for stream, modality in enumerate(modalities, start=50):
+    for stream, modality in enumerate(modalities(cfg), start=50):
         params[f"dec.{modality}.w"] = rng.spawn(stream).normal((cfg.dim, pixels)) / np.sqrt(cfg.dim)
         params[f"dec.{modality}.b"] = np.zeros(pixels)
     params["cond.w"] = rng.spawn(52).normal((cfg.dim, cfg.cond_dim)) / np.sqrt(cfg.dim)
@@ -126,33 +127,28 @@ def encode_backward(
 
 def reconstruction_loss(
     f: np.ndarray,
-    inputs: dict,
+    patches: np.ndarray,
     cfg: TrainConfig,
     params: dict,
     grads: dict | None = None,
 ):
-    """Mean-squared reconstruction error summed over the modalities in inputs.
+    """Mean-squared reconstruction error of the encoder's patches, summed over the modalities.
 
-    Returns (loss, per_sample, grad_f).  With a grads registry supplied,
-    decoder gradients are accumulated into it; otherwise grad_f is None.
+    Modality i's target is block i of P*P features of EncoderCache.patches.  Returns
+    (loss, grad_f); without a grads registry nothing is accumulated and grad_f is None.
     """
     loss = 0.0
     grad_f = np.zeros_like(f) if grads is not None else None
-    bsz = f.shape[0]
-    per_sample = np.zeros(bsz)
-    for modality, frames in inputs.items():
+    pixels = cfg.patch * cfg.patch
+    for i, modality in enumerate(modalities(cfg)):
         recon_tokens = f @ params[f"dec.{modality}.w"] + params[f"dec.{modality}.b"]
-        target = patchify(np.asarray(frames, dtype=np.float64), cfg.patch)
-        diff = recon_tokens - target
-        count = diff.size
-        loss += float(np.sum(diff * diff)) / count
-        per_sample += np.sum(diff * diff, axis=(1, 2)) * (bsz / count)
+        term, _, g_tokens = mse(recon_tokens, patches[:, :, i * pixels:(i + 1) * pixels])
+        loss += term
         if grads is not None:
-            g_tokens = 2.0 * diff / count
             grads[f"dec.{modality}.w"] += weight_grad(f, g_tokens)
             grads[f"dec.{modality}.b"] += g_tokens.sum(axis=(0, 1))
             grad_f += g_tokens @ params[f"dec.{modality}.w"].T
-    return loss, per_sample, grad_f
+    return loss, grad_f
 
 
 def conditioning_forward(f: np.ndarray, params: dict):

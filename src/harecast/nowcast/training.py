@@ -200,14 +200,8 @@ def objective(
 ) -> StepResult:
     """Forward (and optionally backward) pass of the full training loss."""
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()} if compute_grads else None
-    x_sat = batch.get("x_sat")
-
-    f, enc_cache = encode(batch["x_radar"], x_sat, cfg, model.params)
-
-    inputs = {"radar": batch["x_radar"]}
-    if x_sat is not None:
-        inputs["satellite"] = x_sat
-    l_recon, _, grad_f_recon = reconstruction_loss(f, inputs, cfg, model.params, grads)
+    f, enc_cache = encode(batch["x_radar"], batch.get("x_sat"), cfg, model.params)
+    l_recon, grad_f_recon = reconstruction_loss(f, enc_cache.patches, cfg, model.params, grads)
 
     cond, pooled = conditioning_forward(f, model.params)
     x_t = noising(batch["y_future"], draws.t, draws.eps, model.sched)
@@ -253,16 +247,20 @@ def objective(
     )
 
 
+def _context_inputs(x_radar: np.ndarray, cfg: TrainConfig) -> dict:
+    """Encoder inputs for radar contexts (B, frames_in, H, W); x_sat is rendered from them if multimodal."""
+    inputs = {"x_radar": x_radar}
+    if cfg.mode == "multimodal":
+        inputs["x_sat"] = np.stack([render_satellite(x) for x in x_radar])
+    return inputs
+
+
 def render_dataset(specs, cfg: TrainConfig):
-    """Materialize (context, future, sat-context) arrays; sat-context only if multimodal."""
+    """Materialize the context inputs (x_radar, x_sat if multimodal) and y_future."""
     t_total = cfg.frames_in + cfg.frames_out
     radar = [render_radar(spec, t_total, cfg.height, cfg.width) for spec in specs]
-    out = {
-        "x_radar": np.stack([r[: cfg.frames_in] for r in radar]),
-        "y_future": np.stack([r[cfg.frames_in:] for r in radar]),
-    }
-    if cfg.mode == "multimodal":
-        out["x_sat"] = np.stack([render_satellite(r[: cfg.frames_in]) for r in radar])
+    out = _context_inputs(np.stack([r[: cfg.frames_in] for r in radar]), cfg)
+    out["y_future"] = np.stack([r[cfg.frames_in:] for r in radar])
     return out
 
 
@@ -349,17 +347,12 @@ def sample_conditioned(model: Model, f: np.ndarray, n_steps: int, rng: SeededRng
 
 
 def make_predictor(model: Model, cfg: TrainConfig, base_rng: SeededRng):
-    """Chunk predictor for rollout; decoders are never touched here.
-
-    Rollout feeds back radar frames only, so a multimodal model, whose
-    encoder also needs satellite frames, is refused here.
-    """
-    if cfg.mode == "multimodal":
-        raise ConfigError("mode must be unimodal to forecast: rollout has no satellite history")
+    """Chunk predictor for rollout; decoders are never touched here."""
     state = {"calls": 0}
 
     def predict_chunk(context: np.ndarray) -> np.ndarray:
-        f, _ = encode(context[None], None, cfg, model.params)
+        inputs = _context_inputs(context[None], cfg)
+        f, _ = encode(inputs["x_radar"], inputs.get("x_sat"), cfg, model.params)
         state["calls"] += 1
         return sample_conditioned(model, f, cfg.sample_steps, base_rng.spawn(state["calls"]))[0]
 

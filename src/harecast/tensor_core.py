@@ -1,4 +1,4 @@
-"""Dense-array kernel: row softmax, token weight gradients and the seeded RNG.
+"""Dense-array kernel: row softmax, token weight gradients, squared error and the seeded RNG.
 
 All numerics run on 64-bit floats carried by numpy arrays in row-major
 order.  Randomness comes from a counter-based Philox stream, so identical
@@ -20,6 +20,7 @@ from .errors import ConfigError, ShapeError
 __all__ = [
     "SeededRng",
     "check_seed",
+    "mse",
     "softmax_rows",
     "weight_grad",
 ]
@@ -50,6 +51,15 @@ def weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     the flattened rows.
     """
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def mse(pred: np.ndarray, target: np.ndarray):
+    """Mean squared error: (loss, per-sample terms whose mean is loss, grad wrt pred)."""
+    diff = pred - target
+    sq = diff * diff
+    count = diff.size
+    per_sample = np.sum(sq, axis=tuple(range(1, diff.ndim))) * (diff.shape[0] / count)
+    return float(np.sum(sq)) / count, per_sample, 2.0 * diff / count
 
 
 def _check_shape(shape) -> tuple[int, ...]:

@@ -115,7 +115,7 @@ class VarianceHeatmap:
     """Per-(layer, head) cross-sample variance grid for one batch group."""
 
     label: str
-    grid: np.ndarray  # (layers, heads)
+    grid: np.ndarray | None  # (layers, heads); None for a group with no batches
     batches: int
 
 
@@ -163,8 +163,9 @@ def analyze_trace(records, split_by_csi: bool = False, per_batch: bool = False) 
 
     With split_by_csi, batches whose CSI-M is at or above the mean over all
     batches form the 'accurate' group, the rest 'inaccurate'; the combined
-    'all' group is always emitted.  per_batch labels each grid
-    '<run_id>/batch_<step>_<batch_id>' and cannot be combined with split_by_csi.
+    'all' group is always emitted.  An empty group's grid is None.
+    per_batch labels each grid '<run_id>/batch_<step>_<batch_id>' and
+    cannot be combined with split_by_csi.
     """
     if split_by_csi and per_batch:
         raise ConfigError("--split-by-csi and --per-batch cannot be combined: per-batch grids are not split")
@@ -188,10 +189,6 @@ def analyze_trace(records, split_by_csi: bool = False, per_batch: bool = False) 
         if label not in groups:
             continue
         members = groups[label]
-        grid = (
-            np.mean(members, axis=0)
-            if members
-            else np.zeros_like(groups["all"][0])
-        )
+        grid = np.mean(members, axis=0) if members else None
         heatmaps.append(VarianceHeatmap(label=label, grid=grid, batches=len(members)))
     return heatmaps

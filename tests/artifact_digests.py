@@ -13,6 +13,12 @@ head-variance checks, `gradcheck --seeds 2` stdout, the horizon-40 forecast
 of a default seed-0 model, the `eval` CSV of that forecast under both
 threshold profiles, and the rendered train split (`x_radar` and `y_future`
 at the default config, `x_sat` at the micro multimodal config).
+
+`artifact_digests.txt` pins this output, and `test_artifact_digests.py`
+compares a fresh run with it line by line.  Regenerate it with
+`python tests/artifact_digests.py > tests/artifact_digests.txt` only when
+an artifact is meant to change, and give each changed line and its reason
+in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ from harecast.nowcast.training import (
     rollout,
     train,
 )
-from harecast.synthdata import make_split
-from harecast.tensor_core import SeededRng
+from harecast.synthdata import make_split, render_radar
+from harecast.tensor_core import SeededRng, weight_grad
 
 
 def assert_bitwise(got, want):
@@ -136,7 +136,7 @@ class TestReconstruct:
         x = SeededRng(8).uniform((2, 2, 8, 8))
         f, _ = encode(x, None, cfg, params)
         np.testing.assert_allclose(decode_radar(f, cfg, params), x, atol=1e-12)
-        loss, _, _ = reconstruction_loss(f, {"radar": x}, cfg, params)
+        loss, _ = reconstruction_loss(f, patchify(x, cfg.patch), cfg, params)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_loss_matches_mse_oracle(self):
@@ -144,7 +144,7 @@ class TestReconstruct:
         params = init_encoder_params(cfg, SeededRng(9))
         x = SeededRng(10).uniform((3, 2, 16, 16))
         f, _ = encode(x, None, cfg, params)
-        loss, _, grad_f = reconstruction_loss(f, {"radar": x}, cfg, params)
+        loss, grad_f = reconstruction_loss(f, patchify(x, cfg.patch), cfg, params)
         assert grad_f is None  # no grads registry, no backward
         oracle = float(np.mean((decode_radar(f, cfg, params) - x) ** 2))
         assert loss == pytest.approx(oracle, abs=1e-12)
@@ -154,9 +154,37 @@ class TestReconstruct:
         params = init_encoder_params(cfg, SeededRng(11))
         assert "dec.satellite.w" not in params
         f, _ = encode(SeededRng(12).uniform((1, 2, 16, 16)), None, cfg, params)
-        # Only the radar decoder runs, so no satellite input is needed.
-        loss, _, _ = reconstruction_loss(f, {"radar": np.zeros((1, 2, 16, 16))}, cfg, params)
+        # Only the radar decoder runs, so no satellite patches are needed.
+        loss, _ = reconstruction_loss(f, patchify(np.zeros((1, 2, 16, 16)), cfg.patch), cfg, params)
         assert np.isfinite(loss)
+
+    @pytest.mark.parametrize("mode", ["unimodal", "multimodal"])
+    def test_encoder_patches_bitwise_per_modality_formula(self, mode):
+        # Each modality's target is its own patchify(frames), squared error
+        # summed per modality, as the loss was written before it read the
+        # encoder's patches.
+        cfg = micro_cfg(mode=mode)
+        params = init_encoder_params(cfg, SeededRng(13))
+        frames = {"radar": SeededRng(14).uniform((2, 2, 16, 16))}
+        if mode == "multimodal":
+            frames["satellite"] = SeededRng(15).uniform((2, 2, 16, 16))
+        f, cache = encode(frames["radar"], frames.get("satellite"), cfg, params)
+        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        want_grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        loss, grad_f = reconstruction_loss(f, cache.patches, cfg, params, grads)
+
+        want_loss, want_grad_f = 0.0, np.zeros_like(f)
+        for modality, x in frames.items():
+            diff = f @ params[f"dec.{modality}.w"] + params[f"dec.{modality}.b"] - patchify(x, cfg.patch)
+            want_loss += float(np.sum(diff * diff)) / diff.size
+            g_tokens = 2.0 * diff / diff.size
+            want_grads[f"dec.{modality}.w"] += weight_grad(f, g_tokens)
+            want_grads[f"dec.{modality}.b"] += g_tokens.sum(axis=(0, 1))
+            want_grad_f += g_tokens @ params[f"dec.{modality}.w"].T
+        assert_bitwise(loss, want_loss)
+        assert_bitwise(grad_f, want_grad_f)
+        for name in params:
+            assert_bitwise(grads[name], want_grads[name])
 
 
 class TestSchedule:
@@ -405,17 +433,27 @@ class TestRollout:
         assert out_a.min() >= 0.0 and out_a.max() <= 1.0
         np.testing.assert_array_equal(out_a, out_b)
 
-    def test_multimodal_predictor_refused_before_encoding(self, monkeypatch):
+    def test_multimodal_model_forecasts(self, monkeypatch):
         import harecast.nowcast.training as training_mod
 
         cfg = micro_cfg(mode="multimodal")
         model = build_model(cfg)
-        calls = []
-        monkeypatch.setattr(training_mod, "encode", lambda *a, **k: calls.append(1))
-        with pytest.raises(ConfigError, match="mode"):
-            predict = make_predictor(model, cfg, SeededRng(30))
-            rollout(predict, SeededRng(31).uniform((2, 16, 16)), horizon=2, chunk=2, frames_in=2)
-        assert not calls
+        spec = make_split(cfg.seed, 4, 2, 2, 16, 16)[0][0]
+        context = render_radar(spec, cfg.frames_in + cfg.frames_out, 16, 16)[: cfg.frames_in]
+        seen = []
+        encode_real = training_mod.encode
+
+        def spy(x_radar, x_sat, *rest):
+            seen.append(x_sat)
+            return encode_real(x_radar, x_sat, *rest)
+
+        monkeypatch.setattr(training_mod, "encode", spy)
+        out = rollout(make_predictor(model, cfg, SeededRng(30)), context, horizon=4, chunk=2, frames_in=2)
+        assert out.shape == (4, 16, 16)
+        assert np.all(np.isfinite(out)) and out.min() >= 0.0 and out.max() <= 1.0
+        # The first chunk's satellite input is the one render_dataset gives this context.
+        assert len(seen) == 2
+        assert_bitwise(seen[0], render_dataset([spec], cfg)["x_sat"])
 
 
 class TestTraining:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harecast.errors import ConfigError, ShapeError
-from harecast.tensor_core import SeededRng, softmax_rows
+from harecast.tensor_core import SeededRng, mse, softmax_rows
 
 from oracles import box_muller_normal, reference_softmax_rows
 
@@ -48,6 +48,24 @@ class TestSoftmaxRows:
         a = np.array([[1000.0, 0.0], [0.0, 1000.0], [-1000.0, 0.0]])
         np.testing.assert_array_equal(softmax_rows(a).view(np.uint64),
                                       reference_softmax_rows(a).view(np.uint64))
+
+
+class TestMse:
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5)])
+    def test_bitwise_inline_formula(self, shape):
+        pred, target = SeededRng(40).normal(shape), SeededRng(41).normal(shape)
+        loss, per_sample, grad = mse(pred, target)
+        diff = pred - target
+        count = diff.size
+        axes = tuple(range(1, len(shape)))
+        want = (
+            float(np.sum(diff * diff)) / count,
+            np.sum(diff * diff, axis=axes) * (shape[0] / count),
+            2.0 * diff / count,
+        )
+        for got, expected in zip((np.float64(loss), per_sample, grad), want):
+            np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(expected).view(np.uint64))
+        assert isinstance(loss, float) and per_sample.shape == (shape[0],)
 
 
 class TestSeededRng:

@@ -226,6 +226,14 @@ class TestAnalyze:
         groups = {el.get("data-group") for el in root.iter("{http://www.w3.org/2000/svg}rect")}
         assert f"{run_id}/batch_0_0" in groups
 
+    def test_empty_group_has_no_grid(self):
+        # Both batches share CSI-M 0.5: none falls below the mean.
+        records = [dataclasses.replace(r, batch_csi_m=0.5) for r in small_trace()]
+        heat = {hm.label: hm for hm in analyze_trace(records, split_by_csi=True)}
+        assert heat["inaccurate"].batches == 0 and heat["inaccurate"].grid is None
+        assert heat["accurate"].batches == 2
+        np.testing.assert_array_equal(heat["accurate"].grid, heat["all"].grid)
+
     def test_split_and_per_batch_refused(self):
         with pytest.raises(ConfigError, match="^--split-by-csi and --per-batch cannot be combined"):
             analyze_trace(small_trace(), split_by_csi=True, per_batch=True)
@@ -248,6 +256,20 @@ class TestCliCommands:
         assert outs[0] == outs[1]
         assert b'data-value=' in outs[0][1]
         assert outs[0][1].startswith(b"<svg xmlns=")
+
+    def test_analyze_empty_group_writes_nothing(self, tmp_path, capsys):
+        trace, csv_path, svg = tmp_path / "t.jsonl", tmp_path / "v.csv", tmp_path / "v.svg"
+        write_trace(trace, [dataclasses.replace(r, batch_csi_m=0.5) for r in small_trace()])
+        assert self.run("analyze", "--input", str(trace), "--split-by-csi",
+                        "--out-csv", str(csv_path), "--out-svg", str(svg)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "group inaccurate: 0 batches" in out
+        assert {line.split(":")[0] for line in out} == {"group accurate", "group inaccurate", "group all"}
+        rows = csv_path.read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"accurate", "all"} and len(rows) == 8
+        root = ElementTree.parse(svg).getroot()
+        groups = {el.get("data-group") for el in root.iter("{http://www.w3.org/2000/svg}rect")}
+        assert groups - {None} == {"accurate", "all"}
 
     def test_analyze_split_and_per_batch_refused_before_reading(self, tmp_path, capsys):
         # The input does not exist: the flags are refused before it is opened.
@@ -547,6 +569,22 @@ class TestCliEval:
         lines = csv.read_text().splitlines()
         csi_rows = [l for l in lines if l.startswith("csi_1")]
         assert all(l.endswith(",0.0") for l in csi_rows)
+
+    def test_event_free_pair_writes_skipped_not_nan(self, tmp_path, capsys):
+        pred_dir, truth_dir = tmp_path / "pred", tmp_path / "truth"
+        for d in (pred_dir, truth_dir):
+            d.mkdir()
+            save_tensors(d / "a.bin", {"frames": np.zeros((2, 16, 16))})
+        csv_path = tmp_path / "m.csv"
+        assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir),
+                     "--out-csv", str(csv_path)]) == 0
+        rows = dict(line.split(",") for line in csv_path.read_text().splitlines()[1:])
+        for name in ("csi_m", "pooled_csi_4", "pooled_csi_16", "hss"):
+            assert rows[name] == "skipped", name
+        assert float(rows["ssim"]) == 1.0
+        out = capsys.readouterr().out
+        assert "nan" not in out and "nan" not in csv_path.read_text()
+        assert out.split("\n")[0].split()[-1] == "skipped"
 
     def test_displacement_pooling(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
