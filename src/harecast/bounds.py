@@ -251,15 +251,18 @@ def check_theorem1(
     """
     x = np.asarray(x_samples, dtype=np.float64)
     y = np.asarray(y_samples, dtype=np.float64)
+    # Each squared-deviation array, and f, is released once its moment is read.
     f = response_map(x)
+    var_f = total_variance(f)
     yhat = f @ head.w.T + head.b
-
+    del f
     var_x = total_variance(x)
     y_rows, y_mean, sq_y = _centred(y)
     var_y = float(np.mean(sq_y))
-    var_f = total_variance(f)
+    del sq_y
     yhat_rows, yhat_mean, sq_yhat = _centred(yhat)
     var_yhat = float(np.mean(sq_yhat))
+    del sq_yhat
     if var_x == 0.0:
         raise DegenerateInputError("input samples have zero variance")
     c_f = float(np.sqrt(var_f / var_x))
@@ -343,6 +346,9 @@ def _random_head(rng: SeededRng, d: int, smin: float, smax: float) -> LinearHead
 # Trials per block of the error-bound sweep: a (block, 32, 16) array is
 # 1 MiB, so one block's temporaries stay in cache.
 _SWEEP_BLOCK = 256
+# Normal draws per trial and their dimensions in the error-bound sweep.
+_SWEEP_DRAWS = 32
+_SWEEP_DIMS = (1, 4, 16)
 
 
 def _sweep_statistics(y, coupling, noise, offset):
@@ -371,33 +377,102 @@ def _sweep_statistics(y, coupling, noise, offset):
     return mse, bias_sq, vy, vyh
 
 
+def _error_sweep(rng: SeededRng, dim: int, out: np.ndarray, draws: np.ndarray) -> None:
+    """Write the per-trial (mse, bias_sq, var_y, var_yhat) of the error-bound
+    sweep at one dim into the rows of out, (4, trials).
+
+    Each trial draws from rng's stream, in this order over all trials:
+    y = normal((trials, 32, dim)) * (0.5 + uniform((trials, 1, 1))),
+    coupling = uniform((trials, 1, 1)) * 2 - 1,
+    noise = normal((trials, 32, dim)) * uniform((trials, 1, 1)) and
+    offset = normal((trials, 1, dim)).  The per-trial draws are read at their
+    stream positions into the first 3 + dim rows of draws, (rows, trials).
+    y and noise are read in blocks of Box-Muller pairs and never held whole:
+    a block's cos values continue the front half of the draw and its sin
+    values the back half, so each half regroups its values into whole
+    trials, carrying less than one trial to the next block.  With an odd
+    trial count the middle trial opens the back half and closes the front,
+    and is reduced last.
+    """
+    trials = out.shape[1]
+    size = _SWEEP_DRAWS * dim
+    pairs = trials * size // 2  # size is even, so a draw has exactly 2 * pairs values
+    # Stream positions follow the draw order: y and noise take 2 * pairs
+    # uniforms each, and each per-trial uniform draw takes trials.
+    yscale, coupling, nscale = draws[:3]
+    per_trial = rng.at(2 * pairs)
+    per_trial.fill_uniform(yscale)
+    per_trial.fill_uniform(coupling)
+    yscale += 0.5
+    coupling *= 2.0
+    coupling -= 1.0
+    rng.at(4 * pairs + 2 * trials).fill_uniform(nscale)
+    block = _SWEEP_BLOCK * size
+    flat_offset = draws[3:3 + dim].reshape(-1)
+    offset_pairs = (flat_offset.size + 1) // 2
+    for start, cos, sin in rng.normal_blocks(4 * pairs + 3 * trials, flat_offset.size, block):
+        flat_offset[start:start + cos.size] = cos
+        tail = flat_offset[offset_pairs + start:offset_pairs + start + sin.size]
+        tail[:] = sin[:tail.size]
+    offset = flat_offset.reshape(trials, 1, dim)
+
+    def regroup(half, y, noise):
+        """Append flat values to a half's carry and reduce the whole trials among them."""
+        first, carry_y, carry_noise = half
+        if carry_y.size:
+            y, noise = np.concatenate((carry_y, y)), np.concatenate((carry_noise, noise))
+        count = y.size // size
+        if count:
+            t = slice(first, first + count)
+            yb = y[:count * size].reshape(count, _SWEEP_DRAWS, dim)
+            nb = noise[:count * size].reshape(count, _SWEEP_DRAWS, dim)
+            yb *= yscale[t, None, None]
+            nb *= nscale[t, None, None]
+            out[:, t] = _sweep_statistics(yb, coupling[t, None, None], nb, offset[t])
+        return first + count, y[count * size:], noise[count * size:]
+
+    empty = np.empty(0)
+    front = (0, empty, empty)
+    back = (-(-pairs // size), empty, empty)
+    split = back[0] * size - pairs  # values of the middle trial that open the back half
+    for (start, y_cos, y_sin), (_, noise_cos, noise_sin) in zip(
+        rng.normal_blocks(0, 2 * pairs, block),
+        rng.normal_blocks(2 * pairs + 2 * trials, 2 * pairs, block),
+    ):
+        front = regroup(front, y_cos, noise_cos)
+        if start == 0:
+            split_y, split_noise = y_sin[:split], noise_sin[:split]
+            y_sin, noise_sin = y_sin[split:], noise_sin[split:]
+        back = regroup(back, y_sin, noise_sin)
+    regroup(front, split_y, split_noise)
+
+
 def run_verification_suite(trials: int, seed: int) -> SuiteReport:
     """Lemma and theorem sweeps.
 
     trials scales the error-bound sweep per dimension (default 10^4 per
     dim); the head-propagation sweep runs 200 (W, distribution) pairs and
     the chained bound runs its analytic equality case plus 100 random
-    admissible configurations and two refusal probes.
+    admissible configurations and two refusal probes.  Memory grows with
+    trials only through per-trial arrays (31 values per trial), never
+    through the trials * 32 * dim normal draws, which are read in blocks.
+    The per-trial arrays are allocated before the first draw, so a request
+    too large for memory fails before any work.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     reports: list[BoundReport] = []
     refusals: list[tuple[str, str, bool]] = []
 
-    # Error-bound sweep: all trials of a dimension are drawn at once, then
-    # reduced block by block of trials (see _sweep_statistics).
-    per_draw = 32
-    for dim in (1, 4, 16):
-        rng = SeededRng(seed, stream=dim)
-        y = rng.normal((trials, per_draw, dim))
-        y *= 0.5 + rng.uniform((trials, 1, 1))
-        coupling = rng.uniform((trials, 1, 1)) * 2.0 - 1.0
-        noise = rng.normal((trials, per_draw, dim))
-        noise *= rng.uniform((trials, 1, 1))
-        offset = rng.normal((trials, 1, dim))
-        mse, bias_sq, vy, vyh = _sweep_statistics(y, coupling, noise, offset)
-        # Free this dimension's draws before the next, larger ones.
-        del y, noise
+    # Error-bound sweep: four statistics per trial and dim, and one set of
+    # per-trial draws sized for the largest dim and shared by all dims.
+    stats = np.empty((len(_SWEEP_DIMS), 4, trials))
+    draws = np.empty((3 + _SWEEP_DIMS[-1], trials))
+    for dim, out in zip(_SWEEP_DIMS, stats):
+        _error_sweep(SeededRng(seed, stream=dim), dim, out, draws)
+    # The margins below take the draws' place.
+    del draws
+    for dim, (mse, bias_sq, vy, vyh) in zip(_SWEEP_DIMS, stats):
         rhs = bias_sq + (np.sqrt(vyh) - np.sqrt(vy)) ** 2
         margins = mse - rhs
         eps = EXACT_EPS * np.maximum(1.0, np.abs(mse))

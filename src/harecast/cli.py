@@ -203,8 +203,9 @@ def cmd_train_toy(args) -> int:
     print(f"steps: {len(result.losses)}")
     print(f"final: recon={_fmt(last['recon'])} hare={_fmt(last['hare'])} diff={_fmt(last['diff'])}")
     print(
-        "probe: batches=%d normalized_energy_variance=%s"
-        % (result.probe_summary["batches"], _fmt(result.probe_summary["normalized_energy_variance"]))
+        "probe: batches=%d event_free=%d normalized_energy_variance=%s"
+        % (result.probe_summary["batches"], result.probe_summary["event_free_batches"],
+           _fmt(result.probe_summary["normalized_energy_variance"]))
     )
     return EXIT_OK
 

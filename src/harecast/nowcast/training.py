@@ -382,9 +382,13 @@ def probe_model(model: Model, cfg: TrainConfig, probe_specs) -> tuple[list, dict
 
     Emits trace records with batch CSI-M and summarizes the per-head
     cross-sample energy variance normalized by squared mean head energy.
+    A batch where every threshold is skipped has no CSI-M; its records
+    carry 0.0, because the trace format holds no NaN, and the summary
+    counts such batches as event_free_batches.
     """
     records = []
     norm_vars = []
+    event_free = 0
     specs = list(probe_specs)
     bsz = cfg.batch_size
     n_batches = min(cfg.probe_batches, len(specs) // bsz)
@@ -395,7 +399,9 @@ def probe_model(model: Model, cfg: TrainConfig, probe_specs) -> tuple[list, dict
         f, enc_cache = encode(data["x_radar"], data.get("x_sat"), cfg, model.params)
         pred = sample_conditioned(model, f, cfg.sample_steps, rng.spawn(b + 1))
         csi = csi_m(pred, data["y_future"], SEVIR_THRESHOLDS)
-        csi = 0.0 if np.isnan(csi) else csi
+        if np.isnan(csi):
+            event_free += 1
+            csi = 0.0
         energies = [compute_energies(c.o) for c in enc_cache.block_caches]
         records.extend(_energy_trace(cfg.run_id, 0, b, energies, csi=float(csi)))
         for eb in energies:
@@ -403,6 +409,7 @@ def probe_model(model: Model, cfg: TrainConfig, probe_specs) -> tuple[list, dict
             norm_vars.append(var / np.maximum(eb.head_means**2, 1e-300))
     summary = {
         "batches": n_batches,
+        "event_free_batches": event_free,
         "normalized_energy_variance": float(np.mean(norm_vars)),
     }
     return records, summary

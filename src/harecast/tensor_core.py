@@ -4,6 +4,9 @@ All numerics run on 64-bit floats carried by numpy arrays in row-major
 order.  Randomness comes from a counter-based Philox stream, so identical
 seeds reproduce identical value streams on every platform; normal variates
 are produced by a fixed Box-Muller transform over that uniform stream.
+Any position of a stream can be read directly (SeededRng.at), so a large
+normal draw can be formed block by block (SeededRng.normal_blocks) with the
+values it has when drawn whole.
 Invalid draw shapes raise ShapeError; a seed or stream outside the Philox
 key's [0, 2**64) raises ConfigError.
 """
@@ -62,6 +65,24 @@ def mse(pred: np.ndarray, target: np.ndarray):
     return float(np.sum(sq)) / count, per_sample, 2.0 * diff / count
 
 
+def _box_muller(r: np.ndarray, theta: np.ndarray) -> None:
+    """Box-Muller in place: uniform pairs (r, theta) become normal pairs (r cos, r sin).
+
+    r becomes sqrt(-2 log(1 - r)) cos(2 pi theta) and theta the matching
+    sine; cos(2 pi theta) is the one temporary.
+    """
+    # 1 - u is in (0, 1], so log() is finite.
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * math.pi, theta, out=theta)
+    cos_theta = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos_theta
+
+
 def _check_shape(shape) -> tuple[int, ...]:
     dims = tuple(int(d) for d in shape)
     if len(dims) == 0:
@@ -98,34 +119,61 @@ class SeededRng:
         """Independent substream sharing this seed."""
         return SeededRng(self.seed, stream)
 
+    def at(self, position: int) -> "SeededRng":
+        """A new stream of this key that starts at uniform draw `position` of the key's stream.
+
+        Positions count from the key's first draw, whatever this instance has
+        drawn.  Philox turns each counter value into four 64-bit words and a
+        uniform takes one word, so the counter advances position // 4 and
+        position % 4 words are discarded.
+        """
+        if position < 0:
+            raise ConfigError(f"stream position must be >= 0, got {position}")
+        rng = SeededRng(self.seed, self.stream)
+        rng._gen.bit_generator.advance(position // 4)
+        if position % 4:
+            rng._gen.random(position % 4)
+        return rng
+
     def uniform(self, shape) -> np.ndarray:
         """Uniform draws in [0, 1)."""
         dims = _check_shape(shape)
         return self._gen.random(dims, dtype=np.float64)
+
+    def fill_uniform(self, out: np.ndarray) -> None:
+        """Fill a float64 C-contiguous array with the draws uniform(out.shape) would return."""
+        self._gen.random(out=out)
 
     def normal(self, shape) -> np.ndarray:
         """Standard normal draws via Box-Muller over the uniform stream.
 
         The first pairs values are r cos(theta), the rest r sin(theta).  The
         transform runs in place in the (2, pairs) uniform buffer, which
-        becomes the output; cos(theta) is the one temporary.
+        becomes the output.
         """
         dims = _check_shape(shape)
         n = int(np.prod(dims))
-        pairs = (n + 1) // 2
-        u = self._gen.random((2, pairs), dtype=np.float64)
-        r, theta = u
-        # 1 - u is in (0, 1], so log() is finite.
-        np.subtract(1.0, r, out=r)
-        np.log(r, out=r)
-        np.multiply(-2.0, r, out=r)
-        np.sqrt(r, out=r)
-        np.multiply(2.0 * math.pi, theta, out=theta)
-        cos_theta = np.cos(theta)
-        np.sin(theta, out=theta)
-        theta *= r
-        r *= cos_theta
+        u = self._gen.random((2, (n + 1) // 2), dtype=np.float64)
+        _box_muller(*u)
         return u.reshape(-1)[:n].reshape(dims)
+
+    def normal_blocks(self, position: int, n: int, block: int):
+        """normal((n,)) drawn from uniform `position` of this key's stream, in blocks of pairs.
+
+        Yields (start, cos, sin) for each run of at most `block` Box-Muller
+        pairs: cos holds the draw's values start, start + 1, ... and sin its
+        values pairs + start, ..., where pairs = (n + 1) // 2; for odd n the
+        last sin value lies past the draw.  Two sequential readers, one for
+        the r uniforms and one for the theta uniforms, read each uniform once,
+        so the blocks hold bitwise the values of the whole draw.
+        """
+        pairs = (n + 1) // 2
+        r_in, theta_in = self.at(position), self.at(position + pairs)
+        for start in range(0, pairs, block):
+            r = r_in.uniform((min(block, pairs - start),))
+            theta = theta_in.uniform(r.shape)
+            _box_muller(r, theta)
+            yield start, r, theta
 
     def integers(self, low: int, high: int, size: int | None = None):
         """Uniform integers in [low, high)."""

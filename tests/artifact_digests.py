@@ -7,9 +7,10 @@ byte-identity check is one `diff` of two runs.  Not a pytest module.
 
 The set: the acceptance gate's micro `train-toy` run (plain, `--grouping
 false`, `--mode multimodal`, and the difficulty mask with a non-detached
-target), `verify-theory --trials 10000 --seed 0`, the two
-attention_pushforward clouds (dim 4 and 6, 10^4 samples each) that open its
-head-variance checks, `gradcheck --seeds 2` stdout, the horizon-40 forecast
+target), `verify-theory --trials 10000 --seed 0` and `--trials 2001 --seed
+3` (an odd count splits one trial between the two halves of each normal
+draw), the two attention_pushforward clouds (dim 4 and 6, 10^4 samples
+each) that open the seed-0 suite's head-variance checks, `gradcheck --seeds 2` stdout, the horizon-40 forecast
 of a default seed-0 model, the `eval` CSV of that forecast under both
 threshold profiles, and the rendered train split (`x_radar` and `y_future`
 at the default config, `x_sat` at the micro multimodal config).
@@ -103,6 +104,9 @@ def digests(tmp: Path):
     report = tmp / "report.txt"
     run(["verify-theory", "--trials", "10000", "--seed", "0", "--report", report])
     yield "verify-theory/report.txt", sha256(report.read_bytes())
+    odd = tmp / "report-odd.txt"
+    run(["verify-theory", "--trials", "2001", "--seed", "3", "--report", odd])
+    yield "verify-theory-trials2001-seed3/report.txt", sha256(odd.read_bytes())
     # Head-variance checks 2 and 11 of the seed-0 suite: its first
     # attention_pushforward clouds at dim 4 and dim 6.
     for dim, seed in ((4, 1002), (6, 1011)):

@@ -268,6 +268,20 @@ def sweep_statistics(y, yhat):
     return mse, bias_sq, vy, vyh
 
 
+def reference_error_sweep(rng, dim, out, draws=None):
+    """The bound suite's error-bound sweep at one dim, drawn whole in stream order.
+
+    Writes the per-trial (mse, bias_sq, var_y, var_yhat) into out, (4, trials);
+    draws, the library's buffer for per-trial draws, is not used.
+    """
+    trials = out.shape[1]
+    y = box_muller_normal(rng.uniform, (trials, 32, dim)) * (0.5 + rng.uniform((trials, 1, 1)))
+    coupling = rng.uniform((trials, 1, 1)) * 2.0 - 1.0
+    noise = box_muller_normal(rng.uniform, (trials, 32, dim)) * rng.uniform((trials, 1, 1))
+    offset = box_muller_normal(rng.uniform, (trials, 1, dim))
+    out[:] = sweep_statistics(y, coupling * y + noise + offset)
+
+
 def moment_total_variance(samples) -> float:
     """Population total variance: np.sum of squared deviations per row, then the mean."""
     arr = np.asarray(samples, dtype=np.float64)

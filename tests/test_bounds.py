@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     moment_total_variance,
     reference_check_lemma1,
     reference_check_theorem1,
+    reference_error_sweep,
     sweep_statistics,
     two_pass_total_variance,
 )
@@ -130,6 +132,16 @@ class TestBitwiseReferences:
         for got, want in zip(fast, sweep_statistics(y, yhat), strict=True):
             assert got.shape == (trials,)
             assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("dim", (1, 4, 16))
+    @pytest.mark.parametrize("trials", (1, 2, 3, 255, 256, 257, 2 * bounds._SWEEP_BLOCK + 37))
+    def test_error_sweep(self, trials, dim):
+        # odd counts split the middle trial between the cos and sin halves of each draw
+        got, want = np.empty((4, trials)), np.empty((4, trials))
+        draws = np.empty((3 + bounds._SWEEP_DIMS[-1], trials))
+        bounds._error_sweep(SeededRng(39, stream=dim), dim, got, draws)
+        reference_error_sweep(SeededRng(39, stream=dim), dim, want)
+        assert_bitwise(got, want)
 
 
 class TestEstimateCf:
@@ -281,15 +293,22 @@ class TestSuite:
     def test_report_equals_reference_suite(self, monkeypatch):
         fast = [render_report(run_verification_suite(trials=300, seed=s)) for s in (3, 8)]
         monkeypatch.setattr(SeededRng, "normal", lambda rng, shape: box_muller_normal(rng.uniform, shape))
-        monkeypatch.setattr(
-            bounds, "_sweep_statistics",
-            lambda y, coupling, noise, offset: sweep_statistics(y, coupling * y + noise + offset),
-        )
+        monkeypatch.setattr(bounds, "_error_sweep", reference_error_sweep)
         monkeypatch.setattr(bounds, "check_lemma1", reference_check_lemma1)
         monkeypatch.setattr(bounds, "check_theorem1", reference_check_theorem1)
         reference = [render_report(run_verification_suite(trials=300, seed=s)) for s in (3, 8)]
         assert fast[0] != fast[1]
         assert fast == reference
+
+    def test_traced_peak_does_not_hold_the_sweep_draws(self):
+        # At 10^4 trials the sweep's draws, held whole, took ~100 MB
+        tracemalloc.start()
+        try:
+            run_verification_suite(trials=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45e6
 
     def test_fault_injection_trips(self, broken_lemma1):
         bad = run_verification_suite(trials=50, seed=7)

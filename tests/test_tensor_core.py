@@ -128,3 +128,51 @@ class TestSeededRng:
     def test_largest_key_accepted(self):
         top = 2**64 - 1
         assert SeededRng(top, stream=top).uniform((3,)).shape == (3,)
+
+
+def assert_bitwise(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+class TestPositionedReads:
+    """SeededRng.at reads a key's uniform stream from any position."""
+
+    @pytest.mark.parametrize("position", [*range(10), 4 * 25 - 1, 4 * 25 + 1, 4 * 1000 - 1, 4 * 1000 + 1])
+    def test_at_equals_sequential_slice(self, position):
+        want = SeededRng(21, stream=5).uniform((position + 9,))[position:]
+        assert_bitwise(SeededRng(21, stream=5).at(position).uniform((9,)), want)
+
+    def test_at_after_draws_of_odd_length(self):
+        # positions count from the key's first draw, whatever the instance has drawn
+        rng = SeededRng(21, stream=5)
+        first, second, third = rng.uniform((7,)), rng.uniform((5,)), rng.uniform((3,))
+        assert_bitwise(rng.at(7).uniform((5,)), second)
+        assert_bitwise(rng.at(12).uniform((3,)), third)
+        assert_bitwise(rng.at(3).uniform((4,)), first[3:])
+
+    def test_negative_position_rejected(self):
+        with pytest.raises(ConfigError, match="position"):
+            SeededRng(1).at(-1)
+
+    def test_fill_uniform_continues_the_stream(self):
+        rng, ref = SeededRng(22), SeededRng(22)
+        out = np.empty((3, 5))
+        rng.fill_uniform(out)
+        assert_bitwise(out, ref.uniform((3, 5)))
+        assert_bitwise(rng.uniform((3,)), ref.uniform((3,)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 1001, 1002])
+    @pytest.mark.parametrize("block", [1, 3, 500, 10_000])
+    def test_normal_blocks_equal_normal_halves(self, n, block):
+        # the draw starts at position 5; an odd n drops the last sin value
+        rng = SeededRng(23, stream=2)
+        rng.uniform((5,))
+        want = rng.normal((n,))
+        pairs = (n + 1) // 2
+        blocks = list(SeededRng(23, stream=2).normal_blocks(5, n, block))
+        assert [start for start, _, _ in blocks] == list(range(0, pairs, block))
+        cos = np.concatenate([c for _, c, _ in blocks])
+        sin = np.concatenate([s for _, _, s in blocks])
+        assert cos.size == sin.size == pairs
+        assert_bitwise(cos, want[:pairs])
+        assert_bitwise(sin[:n - pairs], want[pairs:])

@@ -308,6 +308,24 @@ class TestCliCommands:
         # the zero-weight ablation; criterion 7 checks it bitwise against the disabled build
         assert self.run("train-toy", "--out", str(tmp_path / "zero"), "--lambda-hare", "0", *args) == 0
 
+    def test_train_toy_counts_event_free_probe_batches(self, tmp_path, capsys, monkeypatch):
+        # csi_m is nan when every threshold is skipped; the trace still writes 0.0
+        args = [*MICRO, "--n-val", "4", "--probe-batches", "2"]
+        assert self.run("train-toy", "--out", str(tmp_path / "base"), *args) == 0
+        assert "probe: batches=2 event_free=0 " in capsys.readouterr().out
+        csi_m, calls = training.csi_m, []
+
+        def first_batch_event_free(pred, truth, thresholds):
+            calls.append(1)
+            return math.nan if len(calls) == 1 else csi_m(pred, truth, thresholds)
+
+        monkeypatch.setattr(training, "csi_m", first_batch_event_free)
+        assert self.run("train-toy", "--out", str(tmp_path / "free"), *args) == 0
+        assert "probe: batches=2 event_free=1 " in capsys.readouterr().out
+        batch_csi = {r.batch_id: r.batch_csi_m for r in read_trace(tmp_path / "free" / "probe_trace.jsonl")}
+        base_csi = {r.batch_id: r.batch_csi_m for r in read_trace(tmp_path / "base" / "probe_trace.jsonl")}
+        assert batch_csi == {**base_csi, 0: 0.0} and base_csi[0] != 0.0
+
     def test_invalid_alpha_rejected(self, tmp_path, capsys):
         assert self.run("train-toy", "--out", str(tmp_path / "x"), "--alpha", "1.5") == 2
 
@@ -404,6 +422,28 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {argv[0]}: out of memory") and proc.stderr.count("\n") == 1
         assert not out.exists()
+
+    def test_verify_theory_fits_where_whole_draws_did_not(self, tmp_path):
+        # 160 MiB over the idle process: the suite needs ~70 MiB at 2*10^4
+        # trials, while drawing each dim's (trials, 32, 16) normals whole
+        # needs over 200 MiB.
+        child = (
+            "import resource, sys\n"
+            "from harecast import cli\n"
+            "vm = next(int(line.split()[1]) for line in open('/proc/self/status')"
+            " if line.startswith('VmSize:')) * 1024\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (vm + (160 << 20), vm + (160 << 20)))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "report.txt"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "verify-theory", "--trials", "20000", "--report", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().endswith("verdict: PASS\n")
 
     @pytest.mark.parametrize("learning_rate,where", [("1e6", "at step 2"), ("1e3", "held-out probe")])
     def test_diverged_run_exits_2_and_writes_nothing(self, tmp_path, capsys, learning_rate, where):
