@@ -97,24 +97,54 @@ def _sq_norms(dev: np.ndarray) -> np.ndarray:
     return out
 
 
-def _centred(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, mean, sq): samples flattened to rows, their mean row, and the
-    squared norm of each row's deviation from it.
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean over axis -2, bitwise rows.mean(axis=-2).
 
-    The mean is bitwise rows.mean(axis=0): NumPy adds C-contiguous rows of
-    2 or more columns row by row, as np.add.accumulate does, which is faster
-    at 2 to 5 columns.  Other shapes (one column is summed pairwise) and
-    layouts take rows.mean(axis=0).
+    NumPy adds C-contiguous rows of 2 or more columns row by row, as
+    np.add.accumulate does, which is faster at 2 to 5 columns.  Other shapes
+    (one column is summed pairwise) and layouts take rows.mean(axis=-2).
     """
+    if 2 <= rows.shape[-1] < 6 and rows.flags.c_contiguous:
+        return np.add.accumulate(rows, axis=-2)[..., -1, :] / rows.shape[-2]
+    return rows.mean(axis=-2)
+
+
+def _rows(samples) -> np.ndarray:
+    """Samples as float64 rows, one per sample; at least 2 are needed."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.shape[0] < 2:
-        raise ConfigError("total_variance needs at least 2 samples")
-    rows = arr.reshape(arr.shape[0], -1)
-    if 2 <= rows.shape[1] < 6 and rows.flags.c_contiguous:
-        mean = np.add.accumulate(rows, axis=0)[-1] / rows.shape[0]
-    else:
-        mean = rows.mean(axis=0)
+        raise ConfigError(f"need at least 2 samples, got {arr.shape[0]}")
+    return arr.reshape(arr.shape[0], -1)
+
+
+def _centred(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, mean, sq): samples flattened to rows, their mean row, and the
+    squared norm of each row's deviation from it."""
+    rows = _rows(samples)
+    mean = _row_mean(rows)
     return rows, mean, _sq_norms(rows - mean)
+
+
+def _paired_moments(y: np.ndarray, yhat: np.ndarray):
+    """(mse, bias_sq, var_y, var_yhat) of paired samples (..., n, dim), reduced over n.
+
+    mse is the mean squared norm of y - yhat, bias_sq the squared norm of
+    the gap between the mean rows, and the variances are population totals.
+    """
+    y_mean, yhat_mean = _row_mean(y), _row_mean(yhat)
+    return (
+        np.mean(_sq_norms(y - yhat), axis=-1),
+        _sq_norms(yhat_mean - y_mean),
+        np.mean(_sq_norms(y - y_mean[..., None, :]), axis=-1),
+        np.mean(_sq_norms(yhat - yhat_mean[..., None, :]), axis=-1),
+    )
+
+
+def _lemma2_bound(mse, bias_sq, var_y, var_yhat):
+    """(rhs, eps): Lemma 2's lower bound ||bias||^2 + (sd(Yhat) - sd(Y))^2 on
+    mse, and its slack EXACT_EPS * max(1, |mse|)."""
+    rhs = bias_sq + (np.sqrt(var_yhat) - np.sqrt(var_y)) ** 2
+    return rhs, EXACT_EPS * np.maximum(1.0, np.abs(mse))
 
 
 def total_variance(samples) -> float:
@@ -195,18 +225,12 @@ def check_lemma1(head: LinearHead, f_samples) -> BoundReport:
 
 def check_lemma2(y_samples, yhat_samples) -> BoundReport:
     """MSE >= ||bias||^2 + (sd(Yhat) - sd(Y))^2, exact on paired moments."""
-    y = np.asarray(y_samples, dtype=np.float64).reshape(len(y_samples), -1)
-    yhat = np.asarray(yhat_samples, dtype=np.float64).reshape(len(yhat_samples), -1)
+    y, yhat = _rows(y_samples), _rows(yhat_samples)
     if y.shape != yhat.shape:
         raise ConfigError(f"paired samples disagree: {y.shape} vs {yhat.shape}")
-    mse = float(np.mean(np.sum((y - yhat) ** 2, axis=1)))
-    bias_sq = float(np.sum((yhat.mean(axis=0) - y.mean(axis=0)) ** 2))
-    var_y = total_variance(y)
-    var_yhat = total_variance(yhat)
-    rhs = bias_sq + (np.sqrt(var_yhat) - np.sqrt(var_y)) ** 2
-    scale = max(1.0, abs(mse), abs(rhs))
+    mse, bias_sq, var_y, var_yhat = (float(m) for m in _paired_moments(y, yhat))
     return _report(
-        "error_lower_bound", mse, rhs, EXACT_EPS * scale,
+        "error_lower_bound", mse, *_lemma2_bound(mse, bias_sq, var_y, var_yhat),
         {"bias_sq": bias_sq, "var_y": var_y, "var_yhat": var_yhat},
     )
 
@@ -250,21 +274,17 @@ def check_theorem1(
     the unbiased configuration.
     """
     x = np.asarray(x_samples, dtype=np.float64)
-    y = np.asarray(y_samples, dtype=np.float64)
-    # Each squared-deviation array, and f, is released once its moment is read.
+    # f is released once its moment is read.
     f = response_map(x)
     var_f = total_variance(f)
     yhat = f @ head.w.T + head.b
     del f
     var_x = total_variance(x)
-    y_rows, y_mean, sq_y = _centred(y)
-    var_y = float(np.mean(sq_y))
-    del sq_y
-    yhat_rows, yhat_mean, sq_yhat = _centred(yhat)
-    var_yhat = float(np.mean(sq_yhat))
-    del sq_yhat
     if var_x == 0.0:
         raise DegenerateInputError("input samples have zero variance")
+    mse, bias_sq, var_y, var_yhat = (
+        float(m) for m in _paired_moments(_rows(y_samples), _rows(yhat))
+    )
     c_f = float(np.sqrt(var_f / var_x))
     c_g = sigma_min(head.w)
 
@@ -281,8 +301,6 @@ def check_theorem1(
             ),
         )
 
-    mse = float(np.mean(_sq_norms(y_rows - yhat_rows)))
-    bias_sq = float(np.sum((yhat_mean - y_mean) ** 2))
     consts = {
         "c_F": c_f, "c_G": c_g, "bias_sq": bias_sq,
         "var_x": var_x, "var_f": var_f, "var_y": var_y, "var_yhat": var_yhat,
@@ -351,32 +369,6 @@ _SWEEP_DRAWS = 32
 _SWEEP_DIMS = (1, 4, 16)
 
 
-def _sweep_statistics(y, coupling, noise, offset):
-    """Per-trial (mse, bias_sq, var_y, var_yhat) of y against
-    yhat = coupling * y + noise + offset, all (trials, draws, dim) after
-    broadcasting.
-
-    yhat is formed and reduced one block of trials at a time and is never
-    held whole.  Each trial reduces its own rows with the same operations
-    whatever the block, so the values do not depend on _SWEEP_BLOCK.
-    """
-    trials = y.shape[0]
-    mse, bias_sq, vy, vyh = (np.empty(trials) for _ in range(4))
-    for start in range(0, trials, _SWEEP_BLOCK):
-        sl = slice(start, start + _SWEEP_BLOCK)
-        yb = y[sl]
-        yhb = coupling[sl] * yb
-        yhb += noise[sl]
-        yhb += offset[sl]
-        y_mean = yb.mean(axis=1, keepdims=True)
-        yh_mean = yhb.mean(axis=1, keepdims=True)
-        mse[sl] = np.mean(_sq_norms(yb - yhb), axis=1)
-        bias_sq[sl] = _sq_norms(yh_mean[:, 0] - y_mean[:, 0])
-        vy[sl] = np.mean(_sq_norms(yb - y_mean), axis=1)
-        vyh[sl] = np.mean(_sq_norms(yhb - yh_mean), axis=1)
-    return mse, bias_sq, vy, vyh
-
-
 def _error_sweep(rng: SeededRng, dim: int, out: np.ndarray, draws: np.ndarray) -> None:
     """Write the per-trial (mse, bias_sq, var_y, var_yhat) of the error-bound
     sweep at one dim into the rows of out, (4, trials).
@@ -387,64 +379,39 @@ def _error_sweep(rng: SeededRng, dim: int, out: np.ndarray, draws: np.ndarray) -
     noise = normal((trials, 32, dim)) * uniform((trials, 1, 1)) and
     offset = normal((trials, 1, dim)).  The per-trial draws are read at their
     stream positions into the first 3 + dim rows of draws, (rows, trials).
-    y and noise are read in blocks of Box-Muller pairs and never held whole:
-    a block's cos values continue the front half of the draw and its sin
-    values the back half, so each half regroups its values into whole
-    trials, carrying less than one trial to the next block.  With an odd
-    trial count the middle trial opens the back half and closes the front,
-    and is reduced last.
+    y and noise are read a block of whole trials at a time and never held
+    whole; each trial reduces its own rows with the same operations whatever
+    the block, so the values do not depend on _SWEEP_BLOCK.
     """
     trials = out.shape[1]
     size = _SWEEP_DRAWS * dim
-    pairs = trials * size // 2  # size is even, so a draw has exactly 2 * pairs values
-    # Stream positions follow the draw order: y and noise take 2 * pairs
-    # uniforms each, and each per-trial uniform draw takes trials.
+    n = trials * size  # values of y and of noise; size is even, so each takes n uniforms
+    # Stream positions follow the draw order: each per-trial uniform draw takes trials.
     yscale, coupling, nscale = draws[:3]
-    per_trial = rng.at(2 * pairs)
+    per_trial = rng.at(n)
     per_trial.fill_uniform(yscale)
     per_trial.fill_uniform(coupling)
     yscale += 0.5
     coupling *= 2.0
     coupling -= 1.0
-    rng.at(4 * pairs + 2 * trials).fill_uniform(nscale)
-    block = _SWEEP_BLOCK * size
-    flat_offset = draws[3:3 + dim].reshape(-1)
-    offset_pairs = (flat_offset.size + 1) // 2
-    for start, cos, sin in rng.normal_blocks(4 * pairs + 3 * trials, flat_offset.size, block):
-        flat_offset[start:start + cos.size] = cos
-        tail = flat_offset[offset_pairs + start:offset_pairs + start + sin.size]
-        tail[:] = sin[:tail.size]
-    offset = flat_offset.reshape(trials, 1, dim)
-
-    def regroup(half, y, noise):
-        """Append flat values to a half's carry and reduce the whole trials among them."""
-        first, carry_y, carry_noise = half
-        if carry_y.size:
-            y, noise = np.concatenate((carry_y, y)), np.concatenate((carry_noise, noise))
-        count = y.size // size
-        if count:
-            t = slice(first, first + count)
-            yb = y[:count * size].reshape(count, _SWEEP_DRAWS, dim)
-            nb = noise[:count * size].reshape(count, _SWEEP_DRAWS, dim)
-            yb *= yscale[t, None, None]
-            nb *= nscale[t, None, None]
-            out[:, t] = _sweep_statistics(yb, coupling[t, None, None], nb, offset[t])
-        return first + count, y[count * size:], noise[count * size:]
-
-    empty = np.empty(0)
-    front = (0, empty, empty)
-    back = (-(-pairs // size), empty, empty)
-    split = back[0] * size - pairs  # values of the middle trial that open the back half
-    for (start, y_cos, y_sin), (_, noise_cos, noise_sin) in zip(
-        rng.normal_blocks(0, 2 * pairs, block),
-        rng.normal_blocks(2 * pairs + 2 * trials, 2 * pairs, block),
+    rng.at(2 * n + 2 * trials).fill_uniform(nscale)
+    offset = draws[3:3 + dim].reshape(trials, 1, dim)
+    for first, values in rng.normal_rows(2 * n + 3 * trials, trials, dim, _SWEEP_BLOCK):
+        offset[first:first + len(values), 0] = values
+    for (first, y), (_, noise) in zip(
+        rng.normal_rows(0, trials, size, _SWEEP_BLOCK),
+        rng.normal_rows(n + 2 * trials, trials, size, _SWEEP_BLOCK),
     ):
-        front = regroup(front, y_cos, noise_cos)
-        if start == 0:
-            split_y, split_noise = y_sin[:split], noise_sin[:split]
-            y_sin, noise_sin = y_sin[split:], noise_sin[split:]
-        back = regroup(back, y_sin, noise_sin)
-    regroup(front, split_y, split_noise)
+        # y and noise have one shape, so each block holds the same trials of both.
+        t = slice(first, first + len(y))
+        y = y.reshape(-1, _SWEEP_DRAWS, dim)
+        y *= yscale[t, None, None]
+        noise = noise.reshape(y.shape)
+        noise *= nscale[t, None, None]
+        yhat = coupling[t, None, None] * y
+        yhat += noise
+        yhat += offset[t]
+        out[:, t] = _paired_moments(y, yhat)
 
 
 def run_verification_suite(trials: int, seed: int) -> SuiteReport:
@@ -473,20 +440,14 @@ def run_verification_suite(trials: int, seed: int) -> SuiteReport:
     # The margins below take the draws' place.
     del draws
     for dim, (mse, bias_sq, vy, vyh) in zip(_SWEEP_DIMS, stats):
-        rhs = bias_sq + (np.sqrt(vyh) - np.sqrt(vy)) ** 2
+        rhs, eps = _lemma2_bound(mse, bias_sq, vy, vyh)
         margins = mse - rhs
-        eps = EXACT_EPS * np.maximum(1.0, np.abs(mse))
-        worst = int(np.argmin(margins - (-eps)))
-        reports.append(
-            BoundReport(
-                name=f"error_lower_bound_sweep_dim{dim}",
-                lhs=float(mse[worst]), rhs=float(rhs[worst]),
-                margin=float(margins[worst]),
-                holds=bool(np.all(margins >= -eps)),
-                eps_num=float(eps[worst]),
-                constants={"trials": float(trials), "violations": float(np.sum(margins < -eps))},
-            )
-        )
+        # The trial nearest to violating holds exactly when every trial holds.
+        worst = int(np.argmin(margins + eps))
+        reports.append(_report(
+            f"error_lower_bound_sweep_dim{dim}", mse[worst], rhs[worst], eps[worst],
+            {"trials": float(trials), "violations": float(np.sum(margins < -eps))},
+        ))
 
     # Head variance propagation: random heads against varied distributions.
     kinds = ("gaussian", "mixture", "attention_pushforward")

@@ -296,8 +296,16 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subcommands' parsers, whose usage errors
+    print one `error: <prog>: <message>` line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harecast",
         description="Attention-energy statistics, bound verification and a toy trainer",
     )

@@ -366,6 +366,8 @@ def rollout(predict_chunk, x_context: np.ndarray, horizon: int, chunk: int, fram
     each chunk is the most recent frames_in frames of observed + generated
     history.
     """
+    if min(horizon, chunk) < 1:
+        raise ConfigError(f"rollout needs horizon and chunk >= 1, got horizon={horizon} chunk={chunk}")
     if horizon % chunk:
         raise ConfigError(f"horizon {horizon} is not a multiple of chunk {chunk}")
     history = [np.asarray(f, dtype=np.float64) for f in x_context]

@@ -5,8 +5,8 @@ order.  Randomness comes from a counter-based Philox stream, so identical
 seeds reproduce identical value streams on every platform; normal variates
 are produced by a fixed Box-Muller transform over that uniform stream.
 Any position of a stream can be read directly (SeededRng.at), so a large
-normal draw can be formed block by block (SeededRng.normal_blocks) with the
-values it has when drawn whole.
+normal draw can be read a block of whole rows at a time
+(SeededRng.normal_rows) with the values it has when drawn whole.
 Invalid draw shapes raise ShapeError; a seed or stream outside the Philox
 key's [0, 2**64) raises ConfigError.
 """
@@ -157,23 +157,44 @@ class SeededRng:
         _box_muller(*u)
         return u.reshape(-1)[:n].reshape(dims)
 
-    def normal_blocks(self, position: int, n: int, block: int):
-        """normal((n,)) drawn from uniform `position` of this key's stream, in blocks of pairs.
+    def normal_rows(self, position: int, rows: int, width: int, block_rows: int):
+        """normal((rows, width)) read from uniform `position` of this key's stream, in whole rows.
 
-        Yields (start, cos, sin) for each run of at most `block` Box-Muller
-        pairs: cos holds the draw's values start, start + 1, ... and sin its
-        values pairs + start, ..., where pairs = (n + 1) // 2; for odd n the
-        last sin value lies past the draw.  Two sequential readers, one for
-        the r uniforms and one for the theta uniforms, read each uniform once,
-        so the blocks hold bitwise the values of the whole draw.
+        Yields (first, values), where values holds rows first, first + 1, ...
+        of the draw, at most block_rows of them.  Each step transforms
+        block_rows * width Box-Muller pairs, read once by two sequential
+        readers (one for the r uniforms, one for the theta uniforms), so the
+        rows hold bitwise the values of the whole draw.  A pair's cos value
+        lies in the front half of the draw and its sin value in the back
+        half, so front rows and back rows arrive interleaved; the row that
+        holds both the last cos values and the first sin values comes last.
         """
-        pairs = (n + 1) // 2
+        pairs = (rows * width + 1) // 2
+        step = block_rows * width
+        head = -pairs % width  # sin values that close the row shared by the halves
+        back = -(-pairs // width)  # the next row of sin values only
         r_in, theta_in = self.at(position), self.at(position + pairs)
-        for start in range(0, pairs, block):
-            r = r_in.uniform((min(block, pairs - start),))
-            theta = theta_in.uniform(r.shape)
-            _box_muller(r, theta)
-            yield start, r, theta
+        sin = np.empty(0)
+        for start in range(0, pairs, step):
+            cos = r_in.uniform((min(step, pairs - start),))
+            # sin values carried from the last step, then this step's
+            fresh = np.empty(sin.size + cos.size)
+            fresh[:sin.size] = sin
+            theta_in.fill_uniform(fresh[sin.size:])
+            _box_muller(cos, fresh[sin.size:])
+            if start == 0:
+                shared, fresh = fresh[:head], fresh[head:]
+            whole = cos.size // width
+            if whole:
+                yield start // width, cos[:whole * width].reshape(whole, width)
+            # For an odd rows * width the last sin value lies past the draw.
+            count = min(fresh.size // width, rows - back)
+            if count:
+                yield back, fresh[:count * width].reshape(count, width)
+            back += count
+            sin = fresh[count * width:]
+        if head:  # the last step's cos values past its whole rows open the shared row
+            yield pairs // width, np.concatenate((cos[whole * width:], shared))[None]
 
     def integers(self, low: int, high: int, size: int | None = None):
         """Uniform integers in [low, high)."""

@@ -120,7 +120,7 @@ class TestBitwiseReferences:
 
     @pytest.mark.parametrize("dim", (1, 4, 16))
     def test_sweep_statistics(self, dim):
-        # a trial count that leaves a partial last block
+        # (trials, 32, dim) draws reduce to one value per trial
         trials = 2 * bounds._SWEEP_BLOCK + 37
         rng = SeededRng(38, stream=dim)
         y = rng.normal((trials, 32, dim)) * (0.5 + rng.uniform((trials, 1, 1)))
@@ -128,10 +128,21 @@ class TestBitwiseReferences:
         noise = rng.normal((trials, 32, dim)) * rng.uniform((trials, 1, 1))
         offset = rng.normal((trials, 1, dim))
         yhat = coupling * y + noise + offset
-        fast = bounds._sweep_statistics(y, coupling, noise, offset)
+        fast = bounds._paired_moments(y, yhat)
         for got, want in zip(fast, sweep_statistics(y, yhat), strict=True):
             assert got.shape == (trials,)
             assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("dim", BITWISE_DIMS)
+    def test_paired_moments_of_one_sample_set(self, dim):
+        # (n, dim) samples reduce to scalars, as the sweep oracle reduces one trial
+        rng = SeededRng(40, stream=dim)
+        y = rng.normal((1_001, dim)) * 3.0 + 1.0
+        yhat = 0.5 * y + rng.normal((1_001, dim)) + rng.normal((1, dim))
+        fast = bounds._paired_moments(y, yhat)
+        for got, want in zip(fast, sweep_statistics(y[None], yhat[None]), strict=True):
+            assert got.shape == ()
+            assert_bitwise(got, want[0])
 
     @pytest.mark.parametrize("dim", (1, 4, 16))
     @pytest.mark.parametrize("trials", (1, 2, 3, 255, 256, 257, 2 * bounds._SWEEP_BLOCK + 37))
@@ -206,6 +217,16 @@ class TestLemma2:
         rep = check_lemma2(y, y.copy())
         assert rep.lhs == 0.0
         assert rep.rhs == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", (0.01, 1.0, 300.0))
+    def test_slack_scales_with_mse_only(self, scale):
+        # the same slack as the bound suite's sweep, whatever the size of rhs
+        rng = SeededRng(13)
+        y = rng.normal((500, 3)) * scale
+        yhat = 2.0 * y + rng.normal((500, 3)) * scale + 5.0 * scale
+        rep = check_lemma2(y, yhat)
+        assert rep.rhs > 0.0
+        assert rep.eps_num == bounds.EXACT_EPS * max(1.0, abs(rep.lhs))
 
     def test_random_joint_draws_never_violate(self):
         rng = SeededRng(7)

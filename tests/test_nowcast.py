@@ -421,6 +421,11 @@ class TestRollout:
         with pytest.raises(ConfigError):
             rollout(lambda c: c, np.zeros((2, 8, 8)), horizon=5, chunk=2, frames_in=2)
 
+    @pytest.mark.parametrize("horizon, chunk", [(0, 2), (-2, 2), (4, 0)])
+    def test_non_positive_size_refused(self, horizon, chunk):
+        with pytest.raises(ConfigError, match=f"got horizon={horizon} chunk={chunk}"):
+            rollout(lambda c: c, np.zeros((2, 8, 8)), horizon=horizon, chunk=chunk, frames_in=2)
+
     def test_model_predictor_shapes_and_determinism(self):
         cfg = micro_cfg()
         model = build_model(cfg)

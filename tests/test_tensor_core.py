@@ -164,15 +164,19 @@ class TestPositionedReads:
     @pytest.mark.parametrize("n", [1, 2, 7, 10, 1001, 1002])
     @pytest.mark.parametrize("block", [1, 3, 500, 10_000])
     def test_normal_blocks_equal_normal_halves(self, n, block):
-        # the draw starts at position 5; an odd n drops the last sin value
-        rng = SeededRng(23, stream=2)
-        rng.uniform((5,))
-        want = rng.normal((n,))
-        pairs = (n + 1) // 2
-        blocks = list(SeededRng(23, stream=2).normal_blocks(5, n, block))
-        assert [start for start, _, _ in blocks] == list(range(0, pairs, block))
-        cos = np.concatenate([c for _, c, _ in blocks])
-        sin = np.concatenate([s for _, _, s in blocks])
-        assert cos.size == sin.size == pairs
-        assert_bitwise(cos, want[:pairs])
-        assert_bitwise(sin[:n - pairs], want[pairs:])
+        # normal_rows at block_rows = block, for each (rows, width) with rows * width = n
+        # among these widths: odd and even n, width 1, a single row, and a row
+        # shared by the cos and sin halves of the draw
+        for width in sorted({1, n} | {w for w in (2, 3, 5, 7) if n % w == 0}):
+            rows = n // width
+            rng = SeededRng(23, stream=2)
+            rng.uniform((5,))  # the draw starts at position 5
+            want = rng.normal((rows, width))
+            got = np.full((rows, width), np.nan)
+            yielded = np.zeros(rows, dtype=int)
+            for first, values in SeededRng(23, stream=2).normal_rows(5, rows, width, block):
+                assert values.shape[1:] == (width,) and 1 <= len(values) <= block
+                got[first:first + len(values)] = values
+                yielded[first:first + len(values)] += 1
+            assert yielded.tolist() == [1] * rows
+            assert_bitwise(got, want)

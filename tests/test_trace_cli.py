@@ -295,6 +295,21 @@ class TestCliCommands:
             self.run("verify-theory", "--trials", "30", "--rhs-scale", "0")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-theory", "--trials", "abc"),
+        ("gradcheck", "--seeds", "x"),
+        ("verify-theory", "--bogus"),
+        ("eval", "--pred", "p"),
+        ("nope",),
+        (),
+    ])
+    def test_usage_error_prints_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: harecast"), err
+
     def test_train_toy_determinism_and_ablation_flags(self, tmp_path, capsys):
         args = ["--steps", "4", "--n-train", "4", "--n-val", "2", "--n-test", "2",
                 "--batch-size", "2", "--probe-batches", "1", "--trace-every", "2",
