@@ -10,6 +10,11 @@ sibling forms).  All checks are seed-deterministic Monte Carlo; totals use
 the population convention Var(Z) = E||Z - E Z||^2 to match the moment
 definitions (the diagnostic variance elsewhere in the package is the
 unbiased n-1 kind; reports name the convention to avoid confusion).
+
+total_variance and check_theorem1 read their samples in row blocks of at
+most _BLOCK rows, cut from NumPy's own pairwise summation tree, so only
+the input rows are held whole and every moment keeps the bits NumPy gives
+the whole array (see _block_moments).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import LinearHead, init_attention, mha_forward, sigma_min
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError, DegenerateInputError, ShapeError
 from .tensor_core import SeededRng
 
 __all__ = [
@@ -97,16 +102,21 @@ def _sq_norms(dev: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean over axis -2, bitwise rows.mean(axis=-2).
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over axis -2, bitwise rows.sum(axis=-2).
 
     NumPy adds C-contiguous rows of 2 or more columns row by row, as
     np.add.accumulate does, which is faster at 2 to 5 columns.  Other shapes
-    (one column is summed pairwise) and layouts take rows.mean(axis=-2).
+    (one column is summed pairwise) and layouts take rows.sum(axis=-2).
     """
     if 2 <= rows.shape[-1] < 6 and rows.flags.c_contiguous:
-        return np.add.accumulate(rows, axis=-2)[..., -1, :] / rows.shape[-2]
-    return rows.mean(axis=-2)
+        return np.add.accumulate(rows, axis=-2)[..., -1, :]
+    return rows.sum(axis=-2)
+
+
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean over axis -2, bitwise rows.mean(axis=-2)."""
+    return _row_sum(rows) / rows.shape[-2]
 
 
 def _rows(samples) -> np.ndarray:
@@ -147,9 +157,88 @@ def _lemma2_bound(mse, bias_sq, var_y, var_yhat):
     return rhs, EXACT_EPS * np.maximum(1.0, np.abs(mse))
 
 
+# Most rows per leaf of _block_moments; a larger call's leaves hold 2^15
+# to 2^16 rows.  Leaves that large keep a head's GEMM on OpenBLAS's blocked
+# path, bitwise the whole-array product (1,000-row blocks take its
+# small-matrix path and differ), and a one-column leaf takes 512 KiB.
+_BLOCK = 1 << 16
+
+
+def _tree_sum(start: int, stop: int, leaf) -> dict:
+    """leaf(lo, hi) summed over the leaves of NumPy's pairwise tree on rows [start, stop).
+
+    NumPy sums n values pairwise: it splits them at n // 2 rounded down to
+    a multiple of 8 and adds the sums of the two halves.  Cut at nodes of at
+    most _BLOCK rows, each leaf is a subtree that NumPy sums the same way on
+    its own, so when leaf returns NumPy's sums over its rows (a dict of
+    arrays), adding them key by key at each node keeps every bit of the sum
+    over all rows.  Leaves are visited in row order.
+    """
+    if stop - start <= _BLOCK:
+        return leaf(start, stop)
+    half = (stop - start) // 2
+    mid = start + half - half % 8
+    left = _tree_sum(start, mid, leaf)
+    right = _tree_sum(mid, stop, leaf)
+    return {k: v + right[k] for k, v in left.items()}
+
+
+def _pairwise_columns(rows: np.ndarray) -> bool:
+    """Whether NumPy sums each column of (n, d) rows pairwise: one column, or
+    columns laid out along memory (Fortran order).  Otherwise it adds the
+    rows one after another."""
+    return rows.shape[1] == 1 or abs(rows.strides[0]) < abs(rows.strides[1])
+
+
+def _block_moments(n: int, read, paired: bool = False):
+    """(means, sq): the mean row of each array read in row blocks, and the
+    mean squared norm of its deviation from that mean, its population total
+    variance; with paired, sq ends with the mean squared norm of the last
+    array's gap from the one before.
+
+    read(lo, hi) yields rows lo to hi of each array in turn, as (hi - lo, d)
+    arrays.  It is called once per leaf of _tree_sum in each of two passes
+    (means, then deviations), so a map it applies must act on each row
+    alone, and only the input rows and one leaf's arrays are ever held.
+    Every value is bitwise what NumPy gives the whole arrays: per-row norms
+    and one-column or Fortran-ordered column sums are summed on NumPy's
+    pairwise tree, and wider C-ordered rows, which NumPy adds row by row,
+    are added to a running sum that each leaf carries on.  A call with
+    n <= _BLOCK is one leaf, reduced as NumPy reduces the whole.
+    """
+    running = {}
+
+    def column_sums(lo, hi):
+        sums = {}
+        for k, rows in enumerate(read(lo, hi)):
+            if _pairwise_columns(rows):
+                sums[k] = rows.sum(axis=0)
+            else:
+                if k in running:
+                    rows = np.concatenate((running[k][None], rows))
+                running[k] = _row_sum(rows)
+        return sums
+
+    sums = _tree_sum(0, n, column_sums) | running
+    means = [sums[k] / n for k in range(len(sums))]
+
+    def sq_sums(lo, hi):
+        sq = {}
+        prev = None
+        for k, rows in enumerate(read(lo, hi)):
+            sq[k] = np.sum(_sq_norms(rows - means[k]))
+            if paired and k == len(means) - 1:
+                sq["gap"] = np.sum(_sq_norms(prev - rows))
+            prev = rows
+        return sq
+
+    return means, [s / n for s in _tree_sum(0, n, sq_sums).values()]
+
+
 def total_variance(samples) -> float:
     """Population total variance: mean squared deviation from the mean."""
-    return float(np.mean(_centred(samples)[2]))
+    rows = _rows(samples)
+    return float(_block_moments(len(rows), lambda lo, hi: (rows[lo:hi],))[1][0])
 
 
 def linear_map(matrix) -> "callable":
@@ -207,10 +296,19 @@ def _report(name, lhs, rhs, eps, constants) -> BoundReport:
     )
 
 
+def _apply_head(head: LinearHead, f: np.ndarray) -> np.ndarray:
+    """W f + b over the last axis of f; ShapeError when W does not take f's width."""
+    if f.shape[-1:] != head.w.shape[1:]:
+        raise ShapeError(f"head weight of shape {head.w.shape} does not fit samples of shape {f.shape}")
+    yhat = f @ head.w.T
+    yhat += head.b
+    return yhat
+
+
 def check_lemma1(head: LinearHead, f_samples) -> BoundReport:
     """Var(W f + b) >= sigma_min(W)^2 Var(f) on empirical moments."""
     f = np.asarray(f_samples, dtype=np.float64)
-    yhat = f @ head.w.T + head.b
+    yhat = _apply_head(head, f)
     c_g = sigma_min(head.w)
     sq_f = _centred(f)[2]
     sq_yhat = _centred(yhat)[2]
@@ -243,6 +341,8 @@ def matched_variance_targets(x_samples, rng: SeededRng) -> np.ndarray:
     Var(Y) == Var(X) holds by construction rather than within tolerance.
     """
     x = np.asarray(x_samples, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"matched_variance_targets needs (n, d) samples, got shape {x.shape}")
     n, d = x.shape
     qmat = _orthogonal(rng, d)
     perm = rng.permutation(n)
@@ -272,19 +372,37 @@ def check_theorem1(
     and Var(Y) matches Var(X) within 1e-9 relative.  With
     check_reduced_forms, also emits the bias-free reduced bounds used in
     the unbiased configuration.
+
+    The samples are read in row blocks, twice (_block_moments), so
+    response_map must act on each row of x alone and map it the same way
+    each time.  A map that changes the row count, and y_samples whose rows
+    differ in shape from the head's output, raise ConfigError.
     """
     x = np.asarray(x_samples, dtype=np.float64)
-    # f is released once its moment is read.
-    f = response_map(x)
-    var_f = total_variance(f)
-    yhat = f @ head.w.T + head.b
-    del f
-    var_x = total_variance(x)
+    x_rows, y = _rows(x), _rows(y_samples)
+    n = len(x_rows)
+
+    def read(lo, hi):
+        yield x_rows[lo:hi]
+        f = np.asarray(response_map(x[lo:hi]), dtype=np.float64)
+        if len(f) != hi - lo:
+            raise ConfigError(
+                f"response_map must map each row alone: {hi - lo} rows in, {len(f)} out"
+            )
+        yield f.reshape(len(f), -1)
+        yield y[lo:hi]
+        yhat = _apply_head(head, f)
+        del f
+        yhat = yhat.reshape(len(yhat), -1)
+        if y.shape != (n, yhat.shape[1]):
+            raise ConfigError(f"paired samples disagree: {y.shape} vs {(n, yhat.shape[1])}")
+        yield yhat
+
+    (_, _, y_mean, yhat_mean), moments = _block_moments(n, read, paired=True)
+    var_x, var_f, var_y, var_yhat, mse = (float(m) for m in moments)
     if var_x == 0.0:
         raise DegenerateInputError("input samples have zero variance")
-    mse, bias_sq, var_y, var_yhat = (
-        float(m) for m in _paired_moments(_rows(y_samples), _rows(yhat))
-    )
+    bias_sq = float(_sq_norms(yhat_mean - y_mean))
     c_f = float(np.sqrt(var_f / var_x))
     c_g = sigma_min(head.w)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from harecast.bounds import (
     run_verification_suite,
     total_variance,
 )
-from harecast.errors import ConfigError, DegenerateInputError
+from harecast.errors import ConfigError, DegenerateInputError, ShapeError
 from harecast.tensor_core import SeededRng
 
 from oracles import (
@@ -88,6 +89,20 @@ class TestBitwiseReferences:
         assert_bitwise(bounds._centred(x)[1], x.mean(axis=0))
         assert_bitwise(total_variance(x), moment_total_variance(x))
 
+    @pytest.mark.parametrize(
+        "shape, order",
+        (((10**6, 1), "C"), ((131_073, 2), "C"), ((70_001, 6), "C"), ((200_003, 3), "F")),
+    )
+    def test_total_variance_beyond_one_block(self, shape, order):
+        # row blocks cut from NumPy's pairwise tree; C rows of 2+ columns carry a running sum
+        rng = SeededRng(31, stream=shape[1])
+        x = rng.normal(shape) * (1.0 + 100.0 * rng.uniform((1, shape[1]))) + 5.0
+        x = np.asarray(x, order=order)
+        assert shape[0] > bounds._BLOCK
+        means = bounds._block_moments(shape[0], lambda lo, hi: (x[lo:hi],))[0]
+        assert_bitwise(means[0], x.mean(axis=0))
+        assert_bitwise(total_variance(x), moment_total_variance(x))
+
     def test_total_variance_flattens_trailing_axes(self):
         x = SeededRng(32).normal((500, 2, 3)) * 3.0 - 1.0
         assert_bitwise(total_variance(x), moment_total_variance(x))
@@ -105,6 +120,20 @@ class TestBitwiseReferences:
         x = draw_samples(DistributionSpec(kind="gaussian", dim=dim, n=3_001, seed=36 + dim))
         fmap = linear_map(np.diag(1.3 + rng.uniform((dim,))))
         head = LinearHead(w=np.eye(dim), b=rng.normal((dim,)))
+        y = matched_variance_targets(x, rng.spawn(1))
+        got = check_theorem1(x, fmap, head, y, check_reduced_forms=True)
+        want = reference_check_theorem1(x, fmap, head, y, check_reduced_forms=True)
+        assert not got.refused and not want.refused
+        assert_same_reports(got.reports, want.reports)
+
+    @pytest.mark.parametrize("n, dim", ((200_003, 1), (70_001, 3), (70_001, 8)))
+    def test_check_theorem1_beyond_one_block(self, n, dim):
+        # 200,003 rows split at 100,000, not 100,001: NumPy keeps halves at multiples of 8.
+        # Far from 0, the mean rows, and so bias_sq, show a sum taken on another tree.
+        rng = SeededRng(35, stream=dim)
+        x = draw_samples(DistributionSpec(kind="gaussian", dim=dim, n=n, seed=36 + dim)) + 50.0
+        fmap = linear_map(np.diag(1.3 + rng.uniform((dim,))) + 0.1 * rng.normal((dim, dim)))
+        head = LinearHead(w=np.eye(dim) + 0.1 * rng.normal((dim, dim)), b=rng.normal((dim,)))
         y = matched_variance_targets(x, rng.spawn(1))
         got = check_theorem1(x, fmap, head, y, check_reduced_forms=True)
         want = reference_check_theorem1(x, fmap, head, y, check_reduced_forms=True)
@@ -202,6 +231,11 @@ class TestLemma1:
             rep = check_lemma1(LinearHead(w=w, b=SeededRng(300 + i).normal((dim,))), f)
             assert rep.holds, rep
 
+    def test_head_width_mismatch(self):
+        f = SeededRng(8).normal((100, 3))
+        with pytest.raises(ShapeError, match=r"\(2, 2\) does not fit samples of shape \(100, 3\)"):
+            check_lemma1(LinearHead.from_matrix(np.eye(2)), f)
+
 
 class TestLemma2:
     def test_zero_predictor_equality(self):
@@ -285,6 +319,36 @@ class TestTheorem1:
         assert res.refused
         assert "Var(Y)" in res.refusal_reason
 
+    @pytest.mark.parametrize("y_shape", ((999, 2), (1_001, 2), (1_000, 1)))
+    def test_paired_shape_disagreement_refused(self, y_shape):
+        x = SeededRng(14).normal((1_000, 2))
+        y = SeededRng(15).normal(y_shape)
+        with pytest.raises(ConfigError, match=re.escape(f"paired samples disagree: {y_shape} vs (1000, 2)")):
+            check_theorem1(x, linear_map(2.0 * np.eye(2)), LinearHead.from_matrix(np.eye(2)), y)
+
+    @pytest.mark.parametrize(
+        "fmap", (lambda z: 2.0 * z[1:], lambda z: np.vstack((z, z))), ids=("drops_a_row", "doubles_rows")
+    )
+    def test_response_map_must_keep_rows(self, fmap):
+        x = SeededRng(16).normal((1_000, 2))
+        with pytest.raises(ConfigError, match="each row alone"):
+            check_theorem1(x, fmap, LinearHead.from_matrix(np.eye(2)), x)
+
+    def test_analytic_case_traced_peak(self):
+        # held whole, f, yhat and a deviation took 24 MB beside the 8 MB input
+        x, fmap, head = self.analytic_setup()
+        tracemalloc.start()
+        try:
+            check_theorem1(x, fmap, head, x, check_reduced_forms=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
+    def test_matched_targets_need_rows(self):
+        with pytest.raises(ShapeError, match=r"\(n, d\) samples, got shape \(100,\)"):
+            matched_variance_targets(np.arange(100.0), SeededRng(12))
+
     def test_matched_targets_have_exact_variance(self):
         x = SeededRng(11).normal((4_000, 3)) * np.array([1.0, 2.0, 0.3])
         y = matched_variance_targets(x, SeededRng(12))
@@ -330,6 +394,16 @@ class TestSuite:
         finally:
             tracemalloc.stop()
         assert peak <= 45e6
+
+    def test_traced_peak_is_not_the_analytic_case(self):
+        # 33.7 MB when the analytic case held its 10^6-row arrays whole
+        tracemalloc.start()
+        try:
+            run_verification_suite(trials=300, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_fault_injection_trips(self, broken_lemma1):
         bad = run_verification_suite(trials=50, seed=7)
