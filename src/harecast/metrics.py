@@ -231,11 +231,13 @@ def evaluate_pair(pred, truth, thresholds) -> dict:
         "hss": float(np.mean(hss_vals)) if hss_vals else math.nan,
         "ssim": ssim(p, t),
     }
+    h, w = p.shape[-2:]
     for pool in (4, 16):
         # Pool each field once per size, then score the thresholds active at
-        # full resolution on the pooled fields.
+        # full resolution on the pooled fields.  A pool that does not tile
+        # the frame leaves its score undefined (nan).
         pooled = []
-        if active:
+        if active and h % pool == 0 and w % pool == 0:
             pp, tp = _max_pool(p, pool), _max_pool(t, pool)
             pooled = [pooled_csi(pp, tp, thr, 1) for thr in active]
         out[f"pooled_csi_{pool}"] = float(np.mean(pooled)) if pooled else math.nan

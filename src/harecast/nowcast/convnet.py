@@ -4,7 +4,7 @@ A 3x3 pad-1 convolution is the sum of nine shifted products: for each
 kernel offset (ky, kx), the matching view of the padded input is multiplied
 by the (out_channels, in_channels) slice of the weight.  No (B, Ho*Wo,
 Cin*9) column buffer is ever built (low-memory GEMM convolution, Anderson
-et al., arXiv 1709.03395), and no tap window is copied either.
+et al., arXiv 1709.03395), and the forward copies no tap window either.
 
 The input is written once, by zeros plus slice assignment, into a flat
 polyphase buffer (B, Cin, s*s, rows*gw) at stride s: plane (py, px) holds
@@ -16,14 +16,36 @@ tap reads one contiguous run of Ho*gw values in place.  The output is
 formed on the gw-wide grid and its last gw - Wo columns, whose taps wrap
 into the next row, are dropped.  Each valid output still sums the same
 per-tap products in the same tap order as a copied window would give, so
-for a stage with at least two output channels the result is bit-identical
-to the padded-window form.  With one output channel, NumPy hands each
-tap's (1, Cin) @ (Cin, N) product to BLAS gemv, whose tail columns depend
-on the row length N (Ho*gw here, Ho*Wo for copied windows), so at some
-sizes a few outputs differ at roundoff.  The backward pass
-adds each tap's input gradient into that tap's window of a buffer of the
-same layout and gathers the valid cells back; the weight gradient reads
-each tap's window.  One layout serves every stride, and its geometry is
+for a stage with at least two output channels and more than one output
+cell the result is bit-identical to the padded-window form.  With one
+output channel, NumPy hands each tap's (1, Cin) @ (Cin, N) product to BLAS
+gemv, whose tail columns depend on the row length N (Ho*gw here, Ho*Wo for
+copied windows), so at some sizes a few outputs differ at roundoff; a
+one-cell output (N = 1 for a copied window) is a gemv there and a GEMM
+here, and differs at roundoff too.
+
+The backward pass reads the same layout.  The input gradient is gathered,
+not scattered: grad_out is written once onto the gw-wide output grid, with
+zeros in its wrap columns and before its first row, and each plane cell
+adds, in tap order, tap k's product read from one contiguous run of that
+buffer shifted by the tap's flat offset; the valid cells are then gathered
+back through the polyphase slices.  A product read off the output grid is
+an exact zero added to a sum that starts at +0.0, so every input gradient
+is bit-identical to adding each tap's product into its window.  grad_out
+goes through in chunks of whole samples, at most GRAD_CHUNK values on the
+padded grid (at least one sample), which bounds the buffers at any batch
+size and keeps them in cache.  For the weight gradient, the taps that
+share a plane and a column shift dx read one contiguous copy of that
+plane's columns dx..dx + Wo (3 copies at stride 1, 6 at stride 2), tap
+(ky, kx) taking rows ky // s.. of it as a view.
+
+Two shapes keep the window form, each tap's product added into its window
+and each tap's window copied for the weight gradient, because there NumPy
+multiplies the two forms by different paths, whose bits differ at
+roundoff: one gradient channel (each tap's (1, Cout) @ (Cout, N) product
+is a BLAS gemv, as above) and a one-column output (each window is a
+strided view rather than a contiguous copy, and a one-cell output makes
+the product a gemv).  One layout serves every stride, and its geometry is
 computed once per input shape.
 
 Weights are stored flat as (out_channels, in_channels * k * k), ordered
@@ -44,6 +66,9 @@ from ..errors import ShapeError
 
 KERNEL = 3
 PAD = 1
+# Values of grad_out (on the padded output grid) that conv2d_backward spreads
+# at a time: 256 KiB, so its buffers stay cache-sized at any batch size.
+GRAD_CHUNK = 2**15
 
 
 @dataclass
@@ -119,15 +144,46 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
     g = grad_out.reshape(bsz, cout, ho * wo)
     taps = w.reshape(cout, cin, KERNEL * KERNEL)
     grad_w = np.empty_like(taps)
-    grad_planes = np.zeros((bsz, cin - first_grad_channel, stride * stride, rows, gw))
-    for k, (p, dy, dx, _) in enumerate(offsets):
-        window = (slice(None), slice(None), p, slice(dy, dy + ho), slice(dx, dx + wo))
-        view = planes[window].reshape(bsz, cin, ho * wo)
-        grad_w[:, :, k] = np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
-        grad_planes[window] += (taps[:, first_grad_channel:, k].T @ g).reshape(bsz, -1, ho, wo)
-    grad_x = np.empty((bsz, cin - first_grad_channel, h, wd))
-    for p, dr, dc, sr, sc in phases:
-        grad_x[:, :, sr, sc] = grad_planes[:, :, p, dr, dc]
+    cg = cin - first_grad_channel
+    if cg == 1 or wo == 1:  # these shapes keep the window form (module docstring)
+        grad_planes = np.zeros((bsz, cg, stride * stride, rows, gw))
+        for k, (p, dy, dx, _) in enumerate(offsets):
+            window = (slice(None), slice(None), p, slice(dy, dy + ho), slice(dx, dx + wo))
+            view = planes[window].reshape(bsz, cin, ho * wo)
+            grad_w[:, :, k] = np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
+            grad_planes[window] += (taps[:, first_grad_channel:, k].T @ g).reshape(bsz, -1, ho, wo)
+        grad_x = np.empty((bsz, cg, h, wd))
+        for p, dr, dc, sr, sc in phases:
+            grad_x[:, :, sr, sc] = grad_planes[:, :, p, dr, dc]
+        return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_x
+    # Taps sharing a plane and a column shift read rows dy.. of one copy.
+    for p, dx in dict.fromkeys((p, dx) for p, _, dx, _ in offsets):
+        shifted = planes[:, :, p, :, dx:dx + wo].copy()
+        for k, (tap_p, dy, tap_dx, _) in enumerate(offsets):
+            if (tap_p, tap_dx) == (p, dx):
+                view = shifted[:, :, dy:dy + ho].reshape(bsz, cin, ho * wo)
+                grad_w[:, :, k] = np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
+        del shifted, view
+    # grad_out on the forward's output grid, after `margin` zeros: plane cell
+    # j takes tap k's product at grid cell j - offset, which is zero off the
+    # grid.  Whole samples go through at a time, as many as GRAD_CHUNK allows.
+    margin = max(off for *_, off in offsets)
+    seg = margin + rows * gw
+    chunk = min(bsz, max(1, GRAD_CHUNK // (cout * seg)))
+    g_flat = np.zeros((chunk, cout, seg))
+    grad_x = np.empty((bsz, cg, h, wd))
+    for b in range(0, bsz, chunk):
+        part = grad_out[b:b + chunk]
+        n = part.shape[0]
+        g_flat[:n, :, margin:margin + ho * gw].reshape(n, cout, ho, gw)[..., :wo] = part
+        for p, dr, dc, sr, sc in phases:
+            lo, hi = dr.start * gw, dr.stop * gw
+            acc = np.zeros((n, cg, hi - lo))
+            for k, (tap_p, _, _, off) in enumerate(offsets):
+                if tap_p == p:
+                    run = g_flat[:n, :, margin + lo - off:margin + hi - off]
+                    acc += taps[:, first_grad_channel:, k].T @ run
+            grad_x[b:b + n, :, sr, sc] = acc.reshape(n, cg, dr.stop - dr.start, gw)[..., dc]
     return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_x
 
 

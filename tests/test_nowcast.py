@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +12,19 @@ from oracles import (
     reference_denoiser_backward,
     reference_denoiser_forward,
     reference_init_denoiser_params,
+    reference_softmax_rows,
     unpatchify,
 )
 from test_trace_cli import MICRO
 
+from harecast.attention import init_attention, mha_backward, mha_forward
 from harecast.cli import main
 from harecast.errors import ConfigError
 from harecast.gradcheck import _robust_micro_instance, check_gradients, micro_train_config, objective_gradcheck
-from harecast.nowcast.convnet import conv2d_backward, conv2d_forward
+from harecast.nowcast import convnet
+from harecast.nowcast.convnet import conv2d_backward, conv2d_forward, tanh_backward
 from harecast.nowcast.diffusion import (
+    DENOISER_STAGES,
     ddim_sample,
     denoiser_backward,
     denoiser_forward,
@@ -37,6 +43,7 @@ from harecast.nowcast.training import (
     FrozenDraws,
     TrainConfig,
     build_model,
+    draw_batch,
     make_predictor,
     objective,
     render_dataset,
@@ -44,7 +51,7 @@ from harecast.nowcast.training import (
     train,
 )
 from harecast.synthdata import make_split, render_radar
-from harecast.tensor_core import SeededRng, weight_grad
+from harecast.tensor_core import SeededRng, softmax_rows, weight_grad
 
 
 def assert_bitwise(got, want):
@@ -279,6 +286,8 @@ class TestConv:
         # Bit-identity holds for cout >= 2 only: a one-output-channel tap
         # product goes to BLAS gemv, whose tail columns depend on the row
         # length, and differs at roundoff at some sizes (e.g. 12x12 stride 2).
+        # The backward keeps the window form for one gradient channel
+        # (first = cin - 1).
         rng = np.random.default_rng([stride, *hw, bsz])
         x = rng.normal(size=(bsz, cin) + hw)
         w = rng.normal(size=(cout, cin * 9))
@@ -292,6 +301,143 @@ class TestConv:
             ref = reference_conv2d_backward(g, w, want_cache, first_grad_channel=first)
             for got_part, ref_part in zip(got, ref):  # grad_w, grad_b, grad_x
                 assert_bitwise(got_part, ref_part)
+
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("stride,cin,cout", [(1, 8, 20), (1, 3, 1), (2, 5, 6)])
+    def test_backward_bitwise_at_a_one_column_output(self, stride, cin, cout, bsz):
+        # A one-column output keeps the window form.  Only the backward is
+        # compared: at stride 2 the output is one cell, where the
+        # padded-window forward's product is a gemv (N = 1).
+        rng = np.random.default_rng([stride, cin, cout, bsz])
+        x = rng.normal(size=(bsz, cin, 2, 1))
+        w = rng.normal(size=(cout, cin * 9))
+        out, cache = conv2d_forward(x, w, np.zeros(cout), stride)
+        _, want_cache = reference_conv2d_forward(x, w, np.zeros(cout), stride)
+        g = rng.normal(size=out.shape)
+        for got_part, ref_part in zip(conv2d_backward(g, w, cache), reference_conv2d_backward(g, w, want_cache)):
+            assert_bitwise(got_part, ref_part)
+
+
+@functools.cache
+def default_conv_stages():
+    """{stage: (ConvCache.shape without the batch, stride, weight)} of a default denoiser."""
+    cfg = TrainConfig()
+    params = init_denoiser_params(cfg, SeededRng(cfg.seed, stream=1000).spawn(2000))
+    _, cache = denoiser_forward(np.zeros((1, cfg.frames_out, cfg.height, cfg.width)), np.ones(1, dtype=np.int64),
+                                np.zeros((1, cfg.cond_dim)), cfg, params)
+    return {name: (c.shape[1:], c.stride, params[f"den.{name}.w"]) for name, c in cache.convs.items()}
+
+
+def conv_case(name, bsz):
+    """Random input, bias and upstream gradient at a default stage's shapes."""
+    shape, stride, w = default_conv_stages()[name]
+    rng = np.random.default_rng([len(name), bsz, *shape])
+    x = rng.normal(size=(bsz,) + shape)
+    b = rng.normal(size=w.shape[0])
+    out, cache = conv2d_forward(x, w, b, stride)
+    return x, w, b, stride, out, cache, rng.normal(size=out.shape)
+
+
+class TestConvAtDefaultStages:
+    """The six convolutions a default training step runs, at their own shapes."""
+
+    @pytest.mark.parametrize("bsz", [1, 8])
+    @pytest.mark.parametrize("name", [stage[0] for stage in DENOISER_STAGES])
+    def test_bitwise_the_padded_window_conv(self, name, bsz):
+        x, w, b, stride, out, cache, g = conv_case(name, bsz)
+        want, want_cache = reference_conv2d_forward(x, w, b, stride)
+        assert_bitwise(out, want)
+        # The step asks `in` for the conditioning channels' gradient only.
+        firsts = (0, TrainConfig().frames_out) if name == "in" else (0,)
+        for first in firsts:
+            got = conv2d_backward(g, w, cache, first_grad_channel=first)
+            ref = reference_conv2d_backward(g, w, want_cache, first_grad_channel=first)
+            for got_part, ref_part in zip(got, ref):  # grad_w, grad_b, grad_x
+                assert_bitwise(got_part, ref_part)
+
+    @pytest.mark.parametrize("name", ["in", "d1", "u2"])
+    def test_bitwise_across_sample_chunks(self, monkeypatch, name):
+        # A budget of two samples splits a batch of 5 into 2 + 2 + 1.
+        x, w, b, stride, out, cache, g = conv_case(name, 5)
+        _, want_cache = reference_conv2d_forward(x, w, b, stride)
+        _, _, gw, rows, _, offsets = convnet._layout(*x.shape[2:], stride)
+        seg = max(off for *_, off in offsets) + rows * gw
+        monkeypatch.setattr(convnet, "GRAD_CHUNK", 2 * w.shape[0] * seg)
+        got = conv2d_backward(g, w, cache)
+        ref = reference_conv2d_backward(g, w, want_cache)
+        for got_part, ref_part in zip(got, ref):
+            assert_bitwise(got_part, ref_part)
+
+
+def traced_peak(fn) -> int:
+    """Bytes fn holds at its peak, counting what it allocates after the call starts."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryCeilings:
+    """Peak allocation of the backward's largest stages and of one default step.
+
+    Each ceiling is the peak measured at the window-scatter backward this
+    one replaced (two 8-sample tap windows in flight), so buffers that pile
+    up fail here.
+    """
+
+    @pytest.mark.parametrize("name,ceiling", [("in", 3_460_000), ("u2", 2_620_000), ("out", 1_800_000)])
+    def test_conv_backward_at_batch_8(self, name, ceiling):
+        _, w, _, _, _, cache, g = conv_case(name, 8)
+        first = TrainConfig().frames_out if name == "in" else 0
+        assert traced_peak(lambda: conv2d_backward(g, w, cache, first_grad_channel=first)) < ceiling
+
+    def test_default_objective_step(self):
+        cfg = TrainConfig()
+        model = build_model(cfg)
+        train_specs, _, _ = make_split(cfg.seed + 10_000, cfg.n_train, cfg.n_val, cfg.n_test, cfg.height, cfg.width)
+        batch, draws = draw_batch(model, render_dataset(train_specs, cfg), cfg, SeededRng(cfg.seed, stream=3000))
+        assert traced_peak(lambda: objective(model, batch, draws, cfg, hare_enabled=True)) < 21_270_000
+
+
+def test_hot_kernels_leave_inputs_and_caches_unchanged():
+    """The step's softmax, attention, tanh and conv backward kernels write into no argument or saved cache."""
+
+    def frozen(*arrays):
+        return [a.copy() for a in arrays]
+
+    def assert_unchanged(arrays, copies):
+        for a, c in zip(arrays, copies):
+            assert_bitwise(a, c)
+
+    rng = SeededRng(17)
+    scores = rng.normal((2, 2, 9, 9))
+    kept = frozen(scores)
+    assert_bitwise(softmax_rows(scores), reference_softmax_rows(scores))
+    assert_unchanged([scores], kept)
+
+    params = init_attention(8, rng)
+    x, grad_y = rng.normal((3, 9, 8)), rng.normal((3, 9, 8))
+    kept = frozen(x, *params.values())
+    _, cache = mha_forward(x, params, 2)
+    assert_unchanged([x, *params.values()], kept)
+    grad_o = rng.normal(cache.o.shape)
+    arrays = [grad_y, grad_o, *params.values(), cache.x, cache.q, cache.k, cache.a, cache.v, cache.o]
+    kept = frozen(*arrays)
+    mha_backward(params, 2, cache, grad_y, grad_o)
+    assert_unchanged(arrays, kept)
+
+    y, g = np.tanh(rng.normal((2, 3, 4, 4))), rng.normal((2, 3, 4, 4))
+    kept = frozen(y, g)
+    assert_bitwise(tanh_backward(g, y), g * (1.0 - y * y))
+    assert_unchanged([y, g], kept)
+
+    for name in ("in", "d1", "out"):
+        _, w, _, _, _, cache, grad_out = conv_case(name, 2)
+        kept = frozen(w, cache.flat, grad_out)
+        conv2d_backward(grad_out, w, cache, first_grad_channel=1)
+        assert_unchanged([w, cache.flat, grad_out], kept)
 
 
 class TestDenoiser:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from harecast import attention, cli
 from harecast.cli import main
 from harecast.errors import ConfigError, DataError
-from harecast.metrics import SEVIR_THRESHOLDS, evaluate_pair
+from harecast.metrics import SEVIR_THRESHOLDS, evaluate_pair, pooled_csi
 from harecast.nowcast import training
 from harecast.synthdata import save_tensors
 from harecast.trace import TraceRecord, analyze_trace, read_trace, write_trace
@@ -640,6 +640,28 @@ class TestCliEval:
         out = capsys.readouterr().out
         assert "nan" not in out and "nan" not in csv_path.read_text()
         assert out.split("\n")[0].split()[-1] == "skipped"
+
+    @pytest.mark.parametrize("side", [8, 20, 10])
+    def test_pool_that_does_not_tile_the_frame_is_skipped(self, tmp_path, capsys, side):
+        pred_dir, truth_dir = tmp_path / "pred", tmp_path / "truth"
+        rng = np.random.default_rng(side)
+        pred, truth = (rng.uniform(0, 1, size=(2, side, side)) for _ in range(2))
+        for d, frames in ((pred_dir, pred), (truth_dir, truth)):
+            d.mkdir()
+            save_tensors(d / "a.bin", {"frames": frames})
+        csv = tmp_path / "m.csv"
+        assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir),
+                     "--out-csv", str(csv)]) == 0
+        rows = dict(line.split(",") for line in csv.read_text().splitlines()[1:])
+        active = evaluate_pair(pred, truth, SEVIR_THRESHOLDS)["csi_per_threshold"]
+        assert active and rows["csi_m"] != "skipped"
+        for pool in (4, 16):
+            if side % pool:
+                assert rows[f"pooled_csi_{pool}"] == "skipped"
+            else:
+                want = np.mean([pooled_csi(pred, truth, thr, pool) for thr in active])
+                assert float(rows[f"pooled_csi_{pool}"]) == want
+        assert "nan" not in capsys.readouterr().out
 
     def test_displacement_pooling(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
