@@ -190,11 +190,11 @@ def _pairwise_columns(rows: np.ndarray) -> bool:
     return rows.shape[1] == 1 or abs(rows.strides[0]) < abs(rows.strides[1])
 
 
-def _block_moments(n: int, read, paired: bool = False):
+def _block_moments(n: int, read):
     """(means, sq): the mean row of each array read in row blocks, and the
     mean squared norm of its deviation from that mean, its population total
-    variance; with paired, sq ends with the mean squared norm of the last
-    array's gap from the one before.
+    variance; when read yields two or more arrays, sq ends with the mean
+    squared norm of the last array's gap from the one before.
 
     read(lo, hi) yields rows lo to hi of each array in turn, as (hi - lo, d)
     arrays.  It is called once per leaf of _tree_sum in each of two passes
@@ -227,7 +227,7 @@ def _block_moments(n: int, read, paired: bool = False):
         prev = None
         for k, rows in enumerate(read(lo, hi)):
             sq[k] = np.sum(_sq_norms(rows - means[k]))
-            if paired and k == len(means) - 1:
+            if 0 < k == len(means) - 1:
                 sq["gap"] = np.sum(_sq_norms(prev - rows))
             prev = rows
         return sq
@@ -398,7 +398,7 @@ def check_theorem1(
             raise ConfigError(f"paired samples disagree: {y.shape} vs {(n, yhat.shape[1])}")
         yield yhat
 
-    (_, _, y_mean, yhat_mean), moments = _block_moments(n, read, paired=True)
+    (_, _, y_mean, yhat_mean), moments = _block_moments(n, read)
     var_x, var_f, var_y, var_yhat, mse = (float(m) for m in moments)
     if var_x == 0.0:
         raise DegenerateInputError("input samples have zero variance")

@@ -5,7 +5,8 @@ Subcommands: analyze (trace -> variance heatmaps), verify-theory
 metrics over prediction/truth directories), gradcheck (finite-difference
 verification).  Exit codes: 0 success, 1 verification failure,
 2 usage/config error, a request too large for memory or a diverged
-training run, 3 I/O error; each failure prints one "error:" line.
+training run, 3 I/O error, 130 interrupted (Ctrl-C); each failure
+prints one "error:" line.
 train-toy has one flag per TrainConfig field; --lambda-hare 0 and
 --grouping false are its two ablations.
 Identical arguments and seeds produce byte-identical artifacts.
@@ -30,12 +31,13 @@ from .svg import heatmap_svg
 from .synthdata import load_tensors, save_tensors
 from .tensor_core import check_seed
 from .trace import analyze_trace, read_trace, write_trace
-from .nowcast.training import TrainConfig, train
+from .nowcast.training import LOSS_COLUMNS, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a run ended by SIGINT
 
 PROFILES = {
     "sevir-like": SEVIR_THRESHOLDS,
@@ -136,14 +138,14 @@ _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
 def _coerce(key: str, raw: str):
-    typ = _CONFIG_TYPES[key]
-    if typ in ("int", int, "float", float):
-        convert = int if typ in ("int", int) else float
+    typ = _CONFIG_TYPES[key]  # the annotation string, under postponed evaluation
+    if typ in ("int", "float"):
+        convert = int if typ == "int" else float
         try:
             return convert(raw)
         except ValueError:
             raise ConfigError(f"config key {key}: expected {convert.__name__}, got {raw!r}") from None
-    if typ in ("bool", bool):
+    if typ == "bool":
         if raw.lower() in ("1", "true", "yes"):
             return True
         if raw.lower() in ("0", "false", "no"):
@@ -191,11 +193,7 @@ def cmd_train_toy(args) -> int:
     save_tensors(out / "model.bin", dict(sorted(result.model.params.items())))
     write_trace(out / "trace.jsonl", result.trace)
     write_trace(out / "probe_trace.jsonl", result.probe_trace)
-    write_csv(
-        out / "losses.csv",
-        ("step", "recon", "hare", "diff", "total"),
-        [(r["step"], r["recon"], r["hare"], r["diff"], r["total"]) for r in result.losses],
-    )
+    write_csv(out / "losses.csv", LOSS_COLUMNS, [[r[c] for c in LOSS_COLUMNS] for r in result.losses])
     with open(out / "partitions.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for row in result.partitions:
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
@@ -258,10 +256,11 @@ def cmd_eval(args) -> int:
         raise ShapeError("frame sizes differ across files")
 
     scores = evaluate_pair(np.concatenate(pred_frames), np.concatenate(truth_frames), thresholds)
-    per_threshold = scores["csi_per_threshold"]
+    per_threshold = scores.pop("csi_per_threshold")
     rows = [(f"csi_{thr}", per_threshold.get(thr, np.nan)) for thr in thresholds]
-    rows += [(name, scores[name]) for name in ("csi_m", "pooled_csi_4", "pooled_csi_16", "hss", "ssim")]
-    # A metric undefined on this input (no threshold with events) is skipped, never nan.
+    rows += scores.items()
+    # A metric undefined on this input (no threshold with events, a frame
+    # smaller than the SSIM window) is skipped, never nan.
     all_rows = [(name, "skipped" if np.isnan(v) else _fmt(v)) for name, v in rows]
     if args.out_csv:
         write_csv(args.out_csv, ("metric", "value"), all_rows)
@@ -360,6 +359,8 @@ def main(argv=None) -> int:
         message, code = exc, EXIT_USAGE
     except MemoryError as exc:
         message, code = f"{args.command}: out of memory: {exc}", EXIT_USAGE
+    except KeyboardInterrupt:
+        message, code = f"{args.command}: interrupted", EXIT_INTERRUPTED
     print(f"error: {message}", file=sys.stderr)
     return code
 

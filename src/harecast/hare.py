@@ -12,7 +12,7 @@ loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "block_stabilization",
     "BlockHareResult",
 ]
-
-GROUP_NAMES = ("strong", "contextual", "weak")
 
 
 @dataclass
@@ -56,7 +54,11 @@ class HeadPartition:
 
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:
-        return (self.strong, self.contextual, self.weak)
+        return tuple(getattr(self, name) for name in GROUP_NAMES)
+
+
+# The group names, in the order of HeadPartition's fields and of groups.
+GROUP_NAMES = tuple(f.name for f in fields(HeadPartition))
 
 
 def compute_energies(o: np.ndarray) -> EnergyBatch:

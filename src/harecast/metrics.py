@@ -22,6 +22,7 @@ __all__ = [
     "TTestResult",
     "SEVIR_THRESHOLDS",
     "METEONET_THRESHOLDS",
+    "SSIM_WINDOW",
     "contingency",
     "csi",
     "csi_m",
@@ -34,6 +35,7 @@ __all__ = [
 
 SEVIR_THRESHOLDS = (16, 74, 133, 160, 181, 219)
 METEONET_THRESHOLDS = (12, 18, 24, 32)
+SSIM_WINDOW = 7  # side of SSIM's square windows, in pixels
 
 
 @dataclass(frozen=True)
@@ -151,11 +153,11 @@ def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
     return out / (window * window)
 
 
-def ssim(pred, truth, window: int = 7) -> float:
+def ssim(pred, truth) -> float:
     """Mean local structural similarity over uniform sliding windows.
 
-    Windows are the valid window x window patches of each frame.  For
-    stacks of frames the per-frame scores are averaged.
+    Windows are the valid SSIM_WINDOW x SSIM_WINDOW patches of each frame.
+    For stacks of frames the per-frame scores are averaged.
     """
     p = _field(pred)
     t = _field(truth)
@@ -163,8 +165,7 @@ def ssim(pred, truth, window: int = 7) -> float:
         raise ShapeError(f"pred shape {p.shape} != truth shape {t.shape}")
     if p.ndim == 2:
         p, t = p[None], t[None]
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
+    window = SSIM_WINDOW
     if window > min(p.shape[-2:]):
         raise ShapeError(f"window {window} larger than image {p.shape[-2:]}")
     c1, c2 = 0.01**2, 0.03**2  # K1, K2 on the unit dynamic range of [0, 1] fields
@@ -214,7 +215,11 @@ def paired_t_test(scores_a, scores_b) -> TTestResult:
 
 
 def evaluate_pair(pred, truth, thresholds) -> dict:
-    """Standard metric bundle for one (prediction, truth) sequence pair."""
+    """Standard metric bundle for one (prediction, truth) sequence pair.
+
+    Keys come in report order: csi_per_threshold, csi_m, pooled_csi_4,
+    pooled_csi_16, hss, ssim.  A score undefined on the input is nan.
+    """
     p, t = _field(pred), _field(truth)
     thresholds = tuple(thresholds)
     counts = _threshold_counts(p, t, thresholds)
@@ -228,8 +233,6 @@ def evaluate_pair(pred, truth, thresholds) -> dict:
     out = {
         "csi_per_threshold": per_threshold,
         "csi_m": float(np.mean(list(per_threshold.values()))) if per_threshold else math.nan,
-        "hss": float(np.mean(hss_vals)) if hss_vals else math.nan,
-        "ssim": ssim(p, t),
     }
     h, w = p.shape[-2:]
     for pool in (4, 16):
@@ -241,4 +244,7 @@ def evaluate_pair(pred, truth, thresholds) -> dict:
             pp, tp = _max_pool(p, pool), _max_pool(t, pool)
             pooled = [pooled_csi(pp, tp, thr, 1) for thr in active]
         out[f"pooled_csi_{pool}"] = float(np.mean(pooled)) if pooled else math.nan
+    out["hss"] = float(np.mean(hss_vals)) if hss_vals else math.nan
+    # A frame smaller than the SSIM window leaves SSIM undefined (nan).
+    out["ssim"] = ssim(p, t) if min(h, w) >= SSIM_WINDOW else math.nan
     return out

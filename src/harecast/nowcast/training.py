@@ -43,6 +43,8 @@ from .model import (
 
 MODES = ("unimodal", "multimodal")
 MASK_STRATEGIES = ("all_ones", "top_fraction_by_sample_loss")
+# Keys of each TrainResult.losses row, in the column order of losses.csv.
+LOSS_COLUMNS = ("step", "recon", "hare", "diff", "total")
 
 # Counts and sizes that must be >= 1; __post_init__ names the offending key.
 _SIZE_KEYS = (
@@ -316,9 +318,7 @@ def train(cfg: TrainConfig, hare_enabled: bool | None = None) -> TrainResult:
             raise DivergenceError(f"training diverged at step {step}: non-finite loss or gradient")
         for name in sorted(model.params):
             model.params[name] -= cfg.learning_rate * res.grads[name]
-        losses.append(
-            {"step": step, "recon": res.recon, "hare": res.hare, "diff": res.diff, "total": res.total}
-        )
+        losses.append(dict(zip(LOSS_COLUMNS, (step, res.recon, res.hare, res.diff, res.total))))
         if cfg.trace_every and step % cfg.trace_every == 0:
             trace.extend(_energy_trace(cfg.run_id, step, step, [block.energy for block in res.blocks]))
             for layer, block in enumerate(res.blocks):

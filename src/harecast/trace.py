@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +38,9 @@ class TraceRecord:
     batch_csi_m: float | None = None
 
     def to_line(self) -> str:
-        obj = {
-            "run_id": self.run_id,
-            "step": self.step,
-            "batch_id": self.batch_id,
-            "layer": self.layer,
-            "head": self.head,
-            "sample": self.sample,
-            "energy": self.energy,
-        }
-        if self.batch_csi_m is not None:
-            obj["batch_csi_m"] = self.batch_csi_m
+        # One key per field in declaration order; an unset batch_csi_m is left out.
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        obj = {key: value for key, value in values if value is not None}
         try:
             return json.dumps(obj, separators=(",", ":"), allow_nan=False)
         except ValueError as exc:

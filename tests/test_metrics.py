@@ -1,10 +1,10 @@
 import math
-import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+from harecast import metrics
 from harecast.errors import ConfigError, ShapeError
 from harecast.metrics import (
     METEONET_THRESHOLDS,
@@ -203,22 +203,16 @@ class TestSsim:
 
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ShapeError):
-            ssim(np.zeros((4, 4)), np.zeros((4, 4)), window=7)
-
-    @pytest.mark.parametrize("window", [0, -1])
-    def test_window_below_one_rejected(self, window):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="window"):
-                ssim(np.zeros((4, 4)), np.zeros((4, 4)), window=window)
+            ssim(np.zeros((4, 4)), np.zeros((4, 4)))
 
     @pytest.mark.parametrize("window", [1, 3, 7])
     @pytest.mark.parametrize("shape", [(3, 9, 9), (2, 8, 13)])
-    def test_stack_is_mean_of_direct_frames(self, window, shape):
+    def test_stack_is_mean_of_direct_frames(self, window, shape, monkeypatch):
+        monkeypatch.setattr(metrics, "SSIM_WINDOW", window)
         p = SeededRng(17).uniform(shape)
         t = SeededRng(18).uniform(shape)
         want = float(np.mean([ssim_direct(fp, ft, window=window) for fp, ft in zip(p, t)]))
-        assert ssim(p, t, window=window) == pytest.approx(want, abs=1e-12)
+        assert ssim(p, t) == pytest.approx(want, abs=1e-12)
 
     def test_range_property(self):
         rng = SeededRng(9)
@@ -312,6 +306,19 @@ class TestSequenceLevel:
         out2 = evaluate_pair(pred, truth, METEONET_THRESHOLDS)
         assert 0.0 <= out2["csi_m"] <= 1.0
         assert out2["pooled_csi_4"] >= out2["csi_m"] - 1e-12
+
+    def test_evaluate_pair_keys_in_report_order(self):
+        pred, truth = self.smooth_pair()
+        assert list(evaluate_pair(pred, truth, SEVIR_THRESHOLDS)) == [
+            "csi_per_threshold", "csi_m", "pooled_csi_4", "pooled_csi_16", "hss", "ssim"]
+
+    def test_frames_smaller_than_the_ssim_window_score_no_ssim(self):
+        rng = SeededRng(19)
+        side = metrics.SSIM_WINDOW - 1
+        pred, truth = rng.uniform((2, side, side)), rng.uniform((2, side, side))
+        assert math.isnan(evaluate_pair(pred, truth, SEVIR_THRESHOLDS)["ssim"])
+        with pytest.raises(ShapeError):
+            ssim(pred, truth)
 
 
 class TestAgainstLoopOracles:

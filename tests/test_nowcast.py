@@ -317,6 +317,21 @@ class TestConv:
         for got_part, ref_part in zip(conv2d_backward(g, w, cache), reference_conv2d_backward(g, w, want_cache)):
             assert_bitwise(got_part, ref_part)
 
+    @pytest.mark.parametrize("hw,stride,cin,cout", [((12, 12), 2, 4, 1), ((7, 9), 1, 3, 1), ((2, 1), 2, 5, 6)],
+                             ids=["12x12-s2-cout1", "7x9-s1-cout1", "2x1-s2-one-cell"])
+    def test_forward_near_the_padded_window_conv_off_the_bitwise_rule(self, hw, stride, cin, cout):
+        # One output channel, or a one-cell output, sends a tap product of
+        # one form or the other to BLAS gemv, so the forms agree to roundoff
+        # rather than bitwise (at 12x12 stride 2, 4 -> 1, some cells differ).
+        rng = np.random.default_rng([stride, *hw, cin, cout])
+        x = rng.normal(size=(3, cin) + hw)
+        w = rng.normal(size=(cout, cin * 9))
+        b = rng.normal(size=cout)
+        out, _ = conv2d_forward(x, w, b, stride)
+        want, _ = reference_conv2d_forward(x, w, b, stride)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
+
 
 @functools.cache
 def default_conv_stages():

@@ -341,6 +341,20 @@ class TestCliCommands:
         base_csi = {r.batch_id: r.batch_csi_m for r in read_trace(tmp_path / "base" / "probe_trace.jsonl")}
         assert batch_csi == {**base_csi, 0: 0.0} and base_csi[0] != 0.0
 
+    def test_interrupted_run_ends_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "train", interrupted)
+        try:
+            code = self.run("train-toy", "--out", str(tmp_path / "x"), *MICRO)
+        except KeyboardInterrupt:  # caught so that it fails this test, not the session
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        assert code == cli.EXIT_INTERRUPTED == 130
+        err = capsys.readouterr().err
+        assert err == "error: train-toy: interrupted\n"
+        assert "Traceback" not in err and not (tmp_path / "x").exists()
+
     def test_invalid_alpha_rejected(self, tmp_path, capsys):
         assert self.run("train-toy", "--out", str(tmp_path / "x"), "--alpha", "1.5") == 2
 
@@ -662,6 +676,22 @@ class TestCliEval:
                 want = np.mean([pooled_csi(pred, truth, thr, pool) for thr in active])
                 assert float(rows[f"pooled_csi_{pool}"]) == want
         assert "nan" not in capsys.readouterr().out
+
+    def test_frames_smaller_than_the_ssim_window_are_skipped(self, tmp_path, capsys):
+        pred_dir, truth_dir = tmp_path / "pred", tmp_path / "truth"
+        rng = np.random.default_rng(6)
+        for d in (pred_dir, truth_dir):
+            d.mkdir()
+            save_tensors(d / "a.bin", {"frames": rng.uniform(0, 1, size=(2, 6, 6))})
+        csv = tmp_path / "m.csv"
+        assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir),
+                     "--out-csv", str(csv)]) == 0
+        rows = dict(line.split(",") for line in csv.read_text().splitlines()[1:])
+        assert rows["csi_m"] != "skipped"
+        for name in ("ssim", "pooled_csi_4", "pooled_csi_16"):
+            assert rows[name] == "skipped", name
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and captured.err == ""
 
     def test_displacement_pooling(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
