@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .errors import ConfigError, DataError, HarecastError, ShapeError
 from .gradcheck import run_gradcheck_suite
 from .metrics import METEONET_THRESHOLDS, SEVIR_THRESHOLDS, evaluate_pair
 from .svg import heatmap_svg
-from .synthdata import load_tensors, save_tensors
+from .synthdata import load_tensors, save_tensors, write_artifact
 from .tensor_core import check_seed
 from .trace import analyze_trace, read_trace, write_trace
 from .nowcast.training import LOSS_COLUMNS, TrainConfig, train
@@ -52,13 +53,10 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # Only a field holding a comma, quote or newline (say, a run id) is quoted.
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *([_fmt(v) for v in row] for row in rows)])
+    write_artifact(path, buf.getvalue().encode("utf-8"))
 
 
 def check_output_path(flag: str, path, directory: bool = False) -> None:
@@ -103,9 +101,7 @@ def cmd_analyze(args) -> int:
     if args.out_csv:
         write_csv(args.out_csv, ("group", "layer", "head", "variance"), rows)
     if args.out_svg:
-        svg = heatmap_svg([(hm.label, hm.grid) for hm in drawn])
-        Path(args.out_svg).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out_svg).write_text(svg, encoding="utf-8", newline="\n")
+        write_artifact(args.out_svg, heatmap_svg([(hm.label, hm.grid) for hm in drawn]).encode("utf-8"))
     for hm in heatmaps:
         peak = "" if hm.grid is None else f", max variance {_fmt(float(hm.grid.max()))}"
         print(f"group {hm.label}: {hm.batches} batches{peak}")
@@ -124,8 +120,7 @@ def cmd_verify_theory(args) -> int:
     suite = run_verification_suite(trials=args.trials, seed=args.seed)
     text = render_report(suite)
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(text, encoding="utf-8", newline="\n")
+        write_artifact(args.report, text.encode("utf-8"))
     print(text, end="")
     return EXIT_OK if suite.ok else EXIT_VERIFICATION
 
@@ -189,14 +184,12 @@ def cmd_train_toy(args) -> int:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         result = train(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_tensors(out / "model.bin", dict(sorted(result.model.params.items())))
     write_trace(out / "trace.jsonl", result.trace)
     write_trace(out / "probe_trace.jsonl", result.probe_trace)
     write_csv(out / "losses.csv", LOSS_COLUMNS, [[r[c] for c in LOSS_COLUMNS] for r in result.losses])
-    with open(out / "partitions.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for row in result.partitions:
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    lines = (json.dumps(row, separators=(",", ":")) + "\n" for row in result.partitions)
+    write_artifact(out / "partitions.jsonl", "".join(lines).encode("utf-8"))
     last = result.losses[-1]
     print(f"steps: {len(result.losses)}")
     print(f"final: recon={_fmt(last['recon'])} hare={_fmt(last['hare'])} diff={_fmt(last['diff'])}")
@@ -277,8 +270,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     check_seed("--seed", args.seed)
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if not 1 <= args.seeds <= 2**63 - args.seed:  # objective checks use --seed .. --seed + --seeds - 1
+        raise ConfigError(f"--seeds must be >= 1 and --seed + --seeds - 1 below 2**63, got {args.seeds}")
     ok, rows = run_gradcheck_suite(args.seed, seeds=args.seeds)
     for kind, seed, rep in rows:
         status = "ok" if rep.ok else "FAIL"

@@ -364,7 +364,7 @@ def rollout(predict_chunk, x_context: np.ndarray, horizon: int, chunk: int, fram
 
     x_context is (T_I, H, W); returns (horizon, H, W).  The context for
     each chunk is the most recent frames_in frames of observed + generated
-    history.
+    history, and predict_chunk must return exactly chunk frames.
     """
     if min(horizon, chunk) < 1:
         raise ConfigError(f"rollout needs horizon and chunk >= 1, got horizon={horizon} chunk={chunk}")
@@ -374,6 +374,8 @@ def rollout(predict_chunk, x_context: np.ndarray, horizon: int, chunk: int, fram
     produced = []
     for _ in range(horizon // chunk):
         pred = predict_chunk(np.stack(history[-frames_in:]))
+        if len(pred) != chunk:
+            raise ConfigError(f"predict_chunk gave {len(pred)} frames, but chunk is {chunk}")
         produced.extend(pred)
         history.extend(pred)
     return np.stack(produced)

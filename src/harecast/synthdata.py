@@ -28,6 +28,7 @@ __all__ = [
     "render_satellite",
     "random_event_spec",
     "make_split",
+    "write_artifact",
     "save_tensors",
     "load_tensors",
 ]
@@ -170,27 +171,32 @@ def make_split(seed: int, n_train: int, n_val: int, n_test: int, height: int, wi
 
 
 # ---------------------------------------------------------------------------
-# Binary tensor container: magic, entry count, then per entry a name,
-# a shape header and row-major little-endian float64 payload.
+# Artifact files, and the binary tensor container: magic, entry count, then
+# per entry a name, a shape header and row-major little-endian float64 payload.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"HCT1"
 
 
-def save_tensors(path, tensors: dict) -> None:
+def write_artifact(path, data: bytes) -> None:
+    """Make `data` the whole of `path`: a hidden temporary file beside it, then os.replace."""
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-            enc = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f8").tobytes())
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:  # KeyboardInterrupt too: no temporary file stays behind
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_tensors(path, tensors: dict) -> None:
+    parts = [_MAGIC, struct.pack("<I", len(tensors))]
+    for name, arr in tensors.items():
+        arr, enc = np.asarray(arr, dtype="<f8"), name.encode("utf-8")
+        parts += [struct.pack(f"<H{len(enc)}sB{arr.ndim}I", len(enc), enc, arr.ndim, *arr.shape), arr.tobytes()]
+    write_artifact(path, b"".join(parts))
 
 
 def _read_exact(fh, size: int, path) -> bytes:
@@ -224,6 +230,8 @@ def load_tensors(path) -> dict:
                     f"{path}: truncated tensor container (entry {name!r} of shape "
                     f"{shape} needs {nbytes} bytes, {size - fh.tell()} left)"
                 )
+            if name in out:
+                raise DataError(f"{path}: entry {name!r} appears twice")
             data = np.frombuffer(_read_exact(fh, nbytes, path), dtype="<f8").reshape(shape)
             out[name] = np.array(data, dtype=np.float64)
         if fh.read(1):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .synthdata import write_artifact
 
 __all__ = [
     "TraceRecord",
@@ -51,11 +52,7 @@ class TraceRecord:
 
 
 def write_trace(path, records) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(rec.to_line())
-            fh.write("\n")
+    write_artifact(path, "".join(rec.to_line() + "\n" for rec in records).encode("utf-8"))
 
 
 def _typed(obj: dict, key: str, kinds: tuple, what: str):

@@ -587,6 +587,12 @@ class TestRollout:
         with pytest.raises(ConfigError, match=f"got horizon={horizon} chunk={chunk}"):
             rollout(lambda c: c, np.zeros((2, 8, 8)), horizon=horizon, chunk=chunk, frames_in=2)
 
+    @pytest.mark.parametrize("chunk", [1, 4])
+    def test_chunk_must_match_the_predictor(self, chunk):
+        """A predictor of frames_out = 2 frames cannot fill chunks of 1 or 4."""
+        with pytest.raises(ConfigError, match=f"predict_chunk gave 2 frames, but chunk is {chunk}"):
+            rollout(lambda c: np.zeros((2, 8, 8)), np.zeros((2, 8, 8)), horizon=4, chunk=chunk, frames_in=2)
+
     def test_model_predictor_shapes_and_determinism(self):
         cfg = micro_cfg()
         model = build_model(cfg)

@@ -1,10 +1,11 @@
-"""Guards on the names other code reaches by attribute.
+"""Guards on the names other code reaches by attribute, and on how `src` writes files.
 
 Every `__all__` entry must resolve, and every layer function the traced
 benchmark wraps (perfbench/workloads.py `instrument`) must still exist, so
 a deletion that would break an import or the traced run fails here first.
 """
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -139,6 +140,59 @@ def test_evaluate_pair_reaches_traced_metrics_by_attribute(monkeypatch):
     field = np.linspace(0.0, 1.0, 2 * 16 * 16).reshape(2, 16, 16)
     metrics.evaluate_pair(field, field[::-1].copy(), metrics.SEVIR_THRESHOLDS)
     assert calls["ssim"] >= 1 and calls["pooled_csi"] >= 1
+
+
+def _writes_file(call: ast.Call) -> bool:
+    """Whether a call opens a file to write it, or is write_text / write_bytes.
+
+    A call named `open` writes when its mode holds w, a or x.  The mode is
+    the `mode` keyword, else `open(file, mode)`'s second or a method
+    `.open(mode)`'s first argument; with neither, the call reads.
+    """
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    if not modes:
+        return False
+    if not (isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str)):
+        return True  # a mode the AST cannot read counts as a write
+    return bool(set(modes[0].value) & set("wax"))
+
+
+def file_writers(source: str) -> set[str]:
+    """Names of the functions in `source` that hold a file write."""
+    writers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            if isinstance(child, ast.Call) and _writes_file(child):
+                writers.add(inner)
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return writers
+
+
+def test_file_writer_guard_sees_each_write_form():
+    writes = ["open(p, 'w')", "open(p, mode='ab')", "open(p, m)", "p.open('x')", "gzip.open(p, 'wt')",
+              "os.open(p, flags)", "p.write_text(s)", "p.write_bytes(b)"]
+    reads = ["open(p)", "open(p, 'rb')", "p.open()", "p.open('r')", "p.read_text()", "fh.write(b)"]
+    for call in writes + reads:
+        assert file_writers(f"def f():\n    {call}\n") == ({"f"} if call in writes else set()), call
+
+
+def test_one_function_writes_files():
+    """Every artifact reaches disk through synthdata.write_artifact: no other code in src writes a file."""
+    src = Path(harecast.__file__).resolve().parent
+    writers = {(path.relative_to(src).as_posix(), name) for path in sorted(src.rglob("*.py"))
+               for name in file_writers(path.read_text(encoding="utf-8"))}
+    assert writers == {("synthdata.py", "write_artifact")}
 
 
 def test_train_toy_flags_are_the_config_fields(capsys):

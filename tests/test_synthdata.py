@@ -1,10 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_generate_event
 
-from harecast.errors import ConfigError
+from harecast.errors import ConfigError, DataError
 from harecast.nowcast.training import TrainConfig, render_dataset
 from harecast.synthdata import (
     BlobSpec,
@@ -17,6 +20,7 @@ from harecast.synthdata import (
     render_radar,
     render_satellite,
     save_tensors,
+    write_artifact,
 )
 
 
@@ -182,6 +186,63 @@ class TestContainer:
         save_tensors(p1, arr)
         save_tensors(p2, arr)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_zero_dim_tensor_round_trips(self, tmp_path):
+        p = tmp_path / "s.bin"
+        save_tensors(p, {"s": np.float64(2.5)})
+        loaded = load_tensors(p)["s"]
+        assert loaded.shape == () and loaded == 2.5
+
+    def test_duplicate_entry_refused(self, tmp_path):
+        p = tmp_path / "dup.bin"
+        save_tensors(p, {"frames": np.zeros((1, 2, 2)), "framez": np.ones((1, 2, 2))})
+        p.write_bytes(p.read_bytes().replace(b"framez", b"frames"))
+        with pytest.raises(DataError, match="entry 'frames' appears twice"):
+            load_tensors(p)
+
+
+class TestWriteArtifact:
+    def test_creates_parents_and_replaces_the_old_bytes(self, tmp_path):
+        p = tmp_path / "a" / "b" / "x.txt"
+        write_artifact(p, b"old")
+        write_artifact(p, b"new")
+        assert p.read_bytes() == b"new"
+        assert os.listdir(p.parent) == ["x.txt"]
+
+    @pytest.mark.parametrize("fault", [KeyboardInterrupt, OSError])
+    def test_failure_after_the_temporary_write_keeps_the_old_bytes(self, tmp_path, monkeypatch, fault):
+        p = tmp_path / "x.bin"
+        write_artifact(p, b"old")
+        written = []
+
+        def replace(src, dst):
+            written.append(Path(src).read_bytes())
+            raise fault
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(fault):
+            write_artifact(p, b"new")
+        assert written == [b"new"]
+        assert p.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["x.bin"]
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        """0o666 less the umask, as open(path, "w") gives; not mkstemp's 0o600."""
+        umask = os.umask(0o022)
+        try:
+            open(tmp_path / "reference", "w").close()
+            write_artifact(tmp_path / "x", b"")
+        finally:
+            os.umask(umask)
+        assert os.stat(tmp_path / "x").st_mode == os.stat(tmp_path / "reference").st_mode == 0o100644
+
+    def test_symlink_is_replaced_not_written_through(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"kept")
+        link.symlink_to(target)
+        write_artifact(link, b"new")
+        assert not link.is_symlink() and link.read_bytes() == b"new"
+        assert target.read_bytes() == b"kept"
 
 
 class TestFrameSequence:

@@ -70,6 +70,15 @@ class TestTraceIO:
         with pytest.raises(DataError, match="line 2"):
             read_trace(p)
 
+    def test_refused_record_leaves_the_old_file(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        write_trace(p, small_trace())
+        old = p.read_bytes()
+        with pytest.raises(DataError, match="non-finite"):
+            write_trace(p, [rec(), rec(sample=1, energy=float("nan"))])
+        assert p.read_bytes() == old
+        assert os.listdir(tmp_path) == ["t.jsonl"]
+
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "dup.jsonl"
         write_trace(p, [rec(), rec()])
@@ -542,6 +551,13 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "bogus_key" in err
 
+    def test_train_toy_leaves_exactly_its_five_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "run" / "sub"
+        for _ in range(2):  # the second run replaces every file of the first
+            assert self.run("train-toy", "--out", str(out), *MICRO) == 0
+            assert sorted(os.listdir(out)) == ["losses.csv", "model.bin", "partitions.jsonl",
+                                               "probe_trace.jsonl", "trace.jsonl"]
+
     def test_config_file_and_comments(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(
@@ -572,6 +588,21 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "wk[" in out  # failure names the parameter
         assert out.endswith("verdict: FAIL\n")
+
+    @pytest.mark.parametrize("seed,seeds,code", [
+        (2**63 - 1, 2, 2), (2**63 - 20, 21, 2), (2**63 - 1, 1, 0), (2**63 - 2, 2, 0),
+    ])
+    def test_gradcheck_seed_range_checked_before_work(self, capsys, monkeypatch, seed, seeds, code):
+        """The objective checks run seeds --seed .. --seed + --seeds - 1, all below 2**63."""
+        monkeypatch.setattr(cli, "run_gradcheck_suite", lambda seed, seeds: (True, []))
+        assert self.run("gradcheck", "--seed", str(seed), "--seeds", str(seeds)) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == ("error: --seeds must be >= 1 and --seed + --seeds - 1 below 2**63, "
+                                    f"got {seeds}\n")
+            assert captured.out == ""
+        else:
+            assert captured.err == "" and captured.out == "verdict: PASS\n"
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_gradcheck_without_objective_seeds_rejected(self, capsys, seeds):
@@ -734,7 +765,7 @@ class TestCliEval:
         assert csv.read_text().splitlines() == want
 
     @pytest.mark.parametrize("cut", ["bad_magic", "cut_header", "cut_payload", "bad_name", "trailing",
-                                     "overflow"])
+                                     "overflow", "duplicate"])
     def test_malformed_tensor_file_is_io_error(self, tmp_path, capsys, cut):
         pred_dir, truth_dir = self.make_dirs(tmp_path)
         path = pred_dir / "e1.bin"
@@ -745,7 +776,9 @@ class TestCliEval:
                           "bad_name": blob.replace(b"frames", b"\xfframes", 1),
                           "trailing": blob + b"garbage",
                           # shape (2**31, 2**31, 4) wraps an int64 element count to 0
-                          "overflow": tensor_file((2**31, 2**31, 4), blob[29:])}[cut])
+                          "overflow": tensor_file((2**31, 2**31, 4), blob[29:]),
+                          # the one 'frames' entry twice, under a count of 2
+                          "duplicate": blob[:4] + struct.pack("<I", 2) + 2 * blob[8:]}[cut])
         assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "e1.bin" in err and err.count("\n") == 1
