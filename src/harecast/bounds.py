@@ -25,7 +25,7 @@ import numpy as np
 
 from .attention import LinearHead, init_attention, mha_forward, sigma_min
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .tensor_core import SeededRng
+from .tensor_core import SeededRng, sum_last
 
 __all__ = [
     "DistributionSpec",
@@ -88,18 +88,8 @@ def draw_samples(spec: DistributionSpec) -> np.ndarray:
 
 
 def _sq_norms(dev: np.ndarray) -> np.ndarray:
-    """Squared norm over the last axis, bitwise equal to np.sum(dev * dev, axis=-1).
-
-    NumPy adds fewer than 8 terms left to right, so short rows are summed
-    column by column in that order, without the reduction's per-row cost.
-    """
-    d = dev.shape[-1]
-    if d >= 8:
-        return np.sum(dev * dev, axis=-1)
-    out = dev[..., 0] * dev[..., 0]
-    for k in range(1, d):
-        out += dev[..., k] * dev[..., k]
-    return out
+    """Squared norm over the last axis, bitwise equal to np.sum(dev * dev, axis=-1)."""
+    return sum_last(dev * dev)
 
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:

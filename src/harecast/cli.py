@@ -150,9 +150,13 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
+    """Flat key = value lines of UTF-8 text; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -218,6 +222,9 @@ def _load_frames(path: Path) -> np.ndarray:
         raise DataError(f"{path}: frames must be a non-empty (frames, H, W) stack, got shape {frames.shape}")
     if not np.all(np.isfinite(frames)):
         raise DataError(f"{path}: frames hold non-finite values")
+    lo, hi = float(frames.min()), float(frames.max())
+    if lo < 0.0 or hi > 1.0:  # the metrics' thresholds and SSIM constants assume [0, 1]
+        raise DataError(f"{path}: frames must lie in [0, 1], got min {_fmt(lo)} and max {_fmt(hi)}")
     return frames
 
 

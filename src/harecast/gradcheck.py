@@ -172,7 +172,7 @@ def objective_gradcheck(seed: int, hare_only: bool = False) -> GradCheckReport:
     return check_gradients(loss, model.params, res.grads, SeededRng(seed + 31), coords_per_param=4)
 
 
-def run_gradcheck_suite(seed: int, seeds: int = 20):
+def run_gradcheck_suite(seed: int, seeds: int):
     """(ok, rows) across attention and end-to-end objective checks."""
     rows = []
     ok = True

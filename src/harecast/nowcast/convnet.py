@@ -110,7 +110,7 @@ def _layout(h: int, w: int, stride: int):
     return ho, wo, gw, rows, tuple(phases), tuple(taps)
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
     """3x3 padded convolution; w is (Cout, Cin*9)."""
     bsz, cin, h, wd = x.shape
     if w.shape[1] != cin * KERNEL * KERNEL:

@@ -46,7 +46,7 @@ class DiffusionSchedule:
         return self.betas.shape[0]
 
 
-def make_schedule(steps: int = 1000) -> DiffusionSchedule:
+def make_schedule(steps: int) -> DiffusionSchedule:
     """Linear beta schedule from 1e-4 to 0.02 over steps."""
     if steps < 1:
         raise ConfigError("schedule needs at least one step")

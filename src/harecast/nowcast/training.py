@@ -42,7 +42,6 @@ from .model import (
 
 
 MODES = ("unimodal", "multimodal")
-MASK_STRATEGIES = ("all_ones", "top_fraction_by_sample_loss")
 # Keys of each TrainResult.losses row, in the column order of losses.csv.
 LOSS_COLUMNS = ("step", "recon", "hare", "diff", "total")
 
@@ -88,8 +87,7 @@ class TrainConfig:
     alpha: float = 0.75
     detach_target: bool = True
     grouping: bool = True
-    mask_strategy: str = "all_ones"
-    mask_fraction: float = 0.5
+    mask_fraction: float = 1.0  # the stabilization loss acts on the hardest ceil(fraction * B) samples
     n_train: int = 48
     n_val: int = 16
     n_test: int = 8
@@ -131,10 +129,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.mask_strategy not in MASK_STRATEGIES:
-            raise ConfigError(
-                f"mask_strategy must be one of {', '.join(MASK_STRATEGIES)}, got {self.mask_strategy!r}"
-            )
         if not (0.0 < self.mask_fraction <= 1.0):
             raise ConfigError(f"mask_fraction must be in (0,1], got {self.mask_fraction}")
         if self.mode not in MODES:
@@ -215,16 +209,12 @@ def objective(
     grad_o_extra = None
     blocks = []
     if hare_enabled:
-        if cfg.mask_strategy == "top_fraction_by_sample_loss":
-            mask = difficulty_mask(per_sample_diff, cfg.mask_fraction)
-        else:
-            mask = np.ones(batch["y_future"].shape[0])
+        mask = difficulty_mask(per_sample_diff, cfg.mask_fraction)
         blocks = [
             block_stabilization(c.o, mask, cfg.alpha, cfg.grouping, cfg.detach_target)
             for c in enc_cache.block_caches
         ]
-        for block in blocks:
-            l_hare += block.loss / cfg.layers
+        l_hare = sum(block.loss / cfg.layers for block in blocks)
         grad_o_extra = [cfg.lambda_hare * block.grad_o / cfg.layers for block in blocks]
 
     if grads is not None:

@@ -25,6 +25,7 @@ __all__ = [
     "check_seed",
     "mse",
     "softmax_rows",
+    "sum_last",
     "weight_grad",
 ]
 
@@ -33,7 +34,7 @@ def softmax_rows(a) -> np.ndarray:
     """Row-wise softmax with max-subtraction, bitwise as NumPy's max and sum over the last axis.
 
     Rows shorter than 8 are reduced column by column: a max is exact in any
-    order, and NumPy adds fewer than 8 terms left to right.
+    order, and sum_last keeps NumPy's order.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 1:
@@ -44,7 +45,19 @@ def softmax_rows(a) -> np.ndarray:
         ex = np.exp(shifted)
         return ex / np.sum(ex, axis=-1, keepdims=True)
     ex = np.exp(a - functools.reduce(np.maximum, [a[..., j] for j in range(n)])[..., None])
-    return ex / sum((ex[..., j] for j in range(1, n)), ex[..., 0])[..., None]
+    return ex / sum_last(ex)[..., None]
+
+
+def sum_last(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, bitwise np.sum(a, axis=-1).
+
+    NumPy adds fewer than 8 terms left to right, so short rows are summed
+    column by column in that order, without the reduction's per-row cost
+    (one column gives a view of it).
+    """
+    if a.shape[-1] >= 8:
+        return np.sum(a, axis=-1)
+    return sum((a[..., j] for j in range(1, a.shape[-1])), a[..., 0])
 
 
 def weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:

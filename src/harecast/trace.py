@@ -147,6 +147,7 @@ def _batch_grids(records) -> dict:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned about
 def analyze_trace(records, split_by_csi: bool = False, per_batch: bool = False) -> list[VarianceHeatmap]:
     """Cross-sample variance heatmaps, grouped or per batch.
 
@@ -154,7 +155,8 @@ def analyze_trace(records, split_by_csi: bool = False, per_batch: bool = False) 
     batches form the 'accurate' group, the rest 'inaccurate'; the combined
     'all' group is always emitted.  An empty group's grid is None.
     per_batch labels each grid '<run_id>/batch_<step>_<batch_id>' and
-    cannot be combined with split_by_csi.
+    cannot be combined with split_by_csi.  A grid whose variance overflows
+    float64 is a DataError.
     """
     if split_by_csi and per_batch:
         raise ConfigError("--split-by-csi and --per-batch cannot be combined: per-batch grids are not split")
@@ -162,22 +164,24 @@ def analyze_trace(records, split_by_csi: bool = False, per_batch: bool = False) 
         raise DataError("empty trace")
     grids = _batch_grids(records)
     if per_batch:
-        return [
+        heatmaps = [
             VarianceHeatmap(label=f"{run}/batch_{step}_{batch_id}", grid=grid, batches=1)
             for (run, step, batch_id), (grid, _) in grids.items()
         ]
-    heatmaps = []
-    groups: dict[str, list[np.ndarray]] = {"all": [g for g, _ in grids.values()]}
-    if split_by_csi:
-        if any(csi is None for _, csi in grids.values()):
-            raise ConfigError("split_by_csi requires batch_csi_m on every batch")
-        mean_csi = float(np.mean([csi for _, csi in grids.values()]))
-        groups["accurate"] = [g for g, csi in grids.values() if csi >= mean_csi]
-        groups["inaccurate"] = [g for g, csi in grids.values() if csi < mean_csi]
-    for label in ("accurate", "inaccurate", "all"):
-        if label not in groups:
-            continue
-        members = groups[label]
-        grid = np.mean(members, axis=0) if members else None
-        heatmaps.append(VarianceHeatmap(label=label, grid=grid, batches=len(members)))
+    else:
+        groups: dict[str, list[np.ndarray]] = {}
+        if split_by_csi:
+            if any(csi is None for _, csi in grids.values()):
+                raise ConfigError("split_by_csi requires batch_csi_m on every batch")
+            mean_csi = float(np.mean([csi for _, csi in grids.values()]))
+            groups["accurate"] = [g for g, csi in grids.values() if csi >= mean_csi]
+            groups["inaccurate"] = [g for g, csi in grids.values() if csi < mean_csi]
+        groups["all"] = [g for g, _ in grids.values()]
+        heatmaps = [
+            VarianceHeatmap(label=label, grid=np.mean(members, axis=0) if members else None, batches=len(members))
+            for label, members in groups.items()
+        ]
+    for hm in heatmaps:
+        if hm.grid is not None and not np.all(np.isfinite(hm.grid)):
+            raise DataError(f"group {hm.label}: cross-sample energy variance overflows float64")
     return heatmaps

@@ -55,8 +55,7 @@ TRAIN_VARIANTS = {
     "train-toy": [],
     "train-toy-grouping-false": ["--grouping", "false"],
     "train-toy-multimodal": ["--mode", "multimodal"],
-    "train-toy-masked-nodetach": ["--mask-strategy", "top_fraction_by_sample_loss",
-                                  "--detach-target", "false"],
+    "train-toy-masked-nodetach": ["--mask-fraction", "0.5", "--detach-target", "false"],
 }
 HORIZON = 40
 

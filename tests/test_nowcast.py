@@ -21,7 +21,7 @@ from harecast.attention import init_attention, mha_backward, mha_forward
 from harecast.cli import main
 from harecast.errors import ConfigError
 from harecast.gradcheck import _robust_micro_instance, check_gradients, micro_train_config, objective_gradcheck
-from harecast.nowcast import convnet
+from harecast.nowcast import convnet, training
 from harecast.nowcast.convnet import conv2d_backward, conv2d_forward, tanh_backward
 from harecast.nowcast.diffusion import (
     DENOISER_STAGES,
@@ -679,18 +679,19 @@ class TestTraining:
         assert (full.hare != 0.0) == hare_enabled
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
-    def test_masked_objective_against_all_ones(self, fraction):
+    def test_masked_objective_against_all_ones(self, fraction, monkeypatch):
         cfg = micro_cfg()
         model = build_model(cfg)
         specs, _, _ = make_split(cfg.seed, 4, 2, 2, 16, 16)
         data = render_dataset(specs, cfg)
         draws = FrozenDraws(t=np.array([5, 300, 700, 999]),
                             eps=SeededRng(38).normal(data["y_future"].shape))
+        masked = objective(model, data, draws, micro_cfg(mask_fraction=fraction), hare_enabled=True)
+        # The same objective with an explicit all-ones stabilization mask.
+        monkeypatch.setattr(training, "difficulty_mask", lambda loss, fraction: np.ones(len(loss)))
         full = objective(model, data, draws, cfg, hare_enabled=True)
-        masked_cfg = micro_cfg(mask_strategy="top_fraction_by_sample_loss", mask_fraction=fraction)
-        masked = objective(model, data, draws, masked_cfg, hare_enabled=True)
         if fraction == 1.0:
-            # Every sample is kept: the masked loss is the all-ones loss, bit for bit.
+            # Every sample is kept: the default config's loss is the all-ones loss, bit for bit.
             assert_bitwise([masked.total, masked.hare], [full.total, full.hare])
             for name in full.grads:
                 assert_bitwise(masked.grads[name], full.grads[name])

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -280,6 +281,21 @@ class TestCliCommands:
         groups = {el.get("data-group") for el in root.iter("{http://www.w3.org/2000/svg}rect")}
         assert groups - {None} == {"accurate", "all"}
 
+    @pytest.mark.parametrize("flags", [[], ["--per-batch"], ["--split-by-csi"]])
+    def test_analyze_overflowing_variance_refused_before_writing(self, tmp_path, capsys, flags):
+        # Finite energies 1e300 and 0.0: their variance overflows float64.
+        trace = tmp_path / "t.jsonl"
+        write_trace(trace, [TraceRecord("r", 0, 0, 0, 0, s, e, 0.5) for s, e in ((0, 1e300), (1, 0.0))])
+        before = sorted(tmp_path.rglob("*"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the command line would print a warning to stderr
+            assert self.run("analyze", "--input", str(trace), *flags, "--out-csv", str(tmp_path / "o" / "v.csv"),
+                            "--out-svg", str(tmp_path / "o" / "v.svg")) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: group ") and "overflows float64" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_analyze_split_and_per_batch_refused_before_reading(self, tmp_path, capsys):
         # The input does not exist: the flags are refused before it is opened.
         assert self.run("analyze", "--input", str(tmp_path / "none.jsonl"),
@@ -308,6 +324,7 @@ class TestCliCommands:
         ("verify-theory", "--trials", "abc"),
         ("gradcheck", "--seeds", "x"),
         ("verify-theory", "--bogus"),
+        ("train-toy", "--out", "x", "--mask-strategy", "x"),  # mask_fraction alone sets the mask
         ("eval", "--pred", "p"),
         ("nope",),
         (),
@@ -413,7 +430,6 @@ class TestCliCommands:
         ("--dim", "30", "dim must be a multiple of heads"),
         ("--den-bottleneck", "15", "den_bottleneck must be a multiple of den_heads"),
         ("--mode", "bogus", "mode must be"),
-        ("--mask-strategy", "bogus", "mask_strategy"),
         ("--mask-fraction", "0", "mask_fraction must be in (0,1]"),
         ("--mask-fraction", "1.5", "mask_fraction must be in (0,1]"),
         ("--alpha", "0", "alpha must be in (0,1)"),
@@ -542,6 +558,14 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err and repr(raw) in err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_file_not_utf8_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_bytes(b"\xff = 1\n")
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), "--config", str(cfgfile)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgfile}: not UTF-8") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -724,6 +748,21 @@ class TestCliEval:
         captured = capsys.readouterr()
         assert "nan" not in captured.out and captured.err == ""
 
+    @pytest.mark.parametrize("scale,shift", [(255.0, 0.0), (1.0, -0.5)])
+    def test_frames_outside_unit_range_refused(self, tmp_path, capsys, scale, shift):
+        # Two independent uniform fields on the 0-255 scale would score csi_m near 1.
+        pred_dir, truth_dir = tmp_path / "pred", tmp_path / "truth"
+        rng = np.random.default_rng(8)
+        for d in (pred_dir, truth_dir):
+            d.mkdir()
+            save_tensors(d / "a.bin", {"frames": scale * rng.uniform(0, 1, size=(2, 16, 16)) + shift})
+        csv = tmp_path / "m.csv"
+        assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir), "--out-csv", str(csv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred_dir / 'a.bin'}: frames must lie in [0, 1], got min ")
+        assert " and max " in err and err.count("\n") == 1
+        assert not csv.exists()
+
     def test_displacement_pooling(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
         truth_dir = tmp_path / "truth"
@@ -868,14 +907,19 @@ def trace_lines(*rows):
 
 
 def run_captured(argv):
-    """(exit code or the sentinel, stderr) of one in-process CLI call."""
+    """(exit code or the sentinel, stderr) of one in-process CLI call.
+
+    A warning counts as one stderr line, as the command line prints it.
+    """
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except FuzzSentinel:
             code = FuzzSentinel
-    return code, err.getvalue()
+    return code, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
 
 
 def assert_clean_exit(code, err):
@@ -939,8 +983,12 @@ class TestCliFuzz:
     @example(trace_lines(*(dict(zip(TRACE_KEYS, ["r", 0, 0, -1, 0, s, 1.0, 0.5])) for s in (0, 1))))
     @example(trace_lines(dict(zip(TRACE_KEYS, ["r", math.inf, 0, 0, 0, 0, 1.0]))))
     @example(trace_lines(*(dict(zip(TRACE_KEYS, ["r", 0, 0, 10**9, 0, s, 1.0, 0.5])) for s in (0, 1))))
+    # finite energies whose variance overflows float64
+    @example(trace_lines(*(dict(zip(TRACE_KEYS, ["r", 0, 0, 0, 0, s, e, 0.5])) for s, e in ((0, 1e300), (1, 0.0)))))
     def test_analyze_trace_file(self, blob):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.jsonl"
             path.write_bytes(blob)
-            assert_clean_exit(*run_captured(["analyze", "--input", str(path), "--split-by-csi"]))
+            assert_clean_exit(*run_captured(["analyze", "--input", str(path), "--split-by-csi",
+                                             "--out-csv", str(Path(tmp) / "v.csv"),
+                                             "--out-svg", str(Path(tmp) / "v.svg")]))
