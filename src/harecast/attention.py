@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .tensor_core import SeededRng, softmax_rows, weight_grad
+from .tensor_core import SeededRng, _softmax_in_place, weight_grad
 
 __all__ = [
     "PARAM_NAMES",
@@ -110,8 +110,10 @@ def mha_forward(x: np.ndarray, params: dict, heads: int):
     scale = 1.0 / np.sqrt(d // heads)
     q, k, v = (_split_heads(_project(x, params["w" + c], params["b" + c]), heads) for c in "qkv")
 
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
-    a = softmax_rows(scores)
+    # The scores become the attention maps in place.
+    a = np.matmul(q, k.transpose(0, 1, 3, 2))
+    a *= scale
+    _softmax_in_place(a)
     o = np.matmul(a, v)
 
     y = _project(_merge_heads(o), params["wo"], params["bo"])
@@ -154,12 +156,15 @@ def mha_backward(
     if grad_o_extra is not None:
         g_o = g_o + grad_o_extra
 
-    g_a = np.matmul(g_o, v.transpose(0, 1, 3, 2))
+    g_s = np.matmul(g_o, v.transpose(0, 1, 3, 2))  # dA, then dS in place
     g_v = np.matmul(a.transpose(0, 1, 3, 2), g_o)
     # Softmax rows: dS = A * (dA - rowsum(dA * A)).
-    g_s = a * (g_a - np.sum(g_a * a, axis=-1, keepdims=True))
-    g_q = np.matmul(g_s, k) * scale
-    g_k = np.matmul(g_s.transpose(0, 1, 3, 2), q) * scale
+    g_s -= np.sum(g_s * a, axis=-1, keepdims=True)
+    g_s *= a
+    g_q = np.matmul(g_s, k)
+    g_q *= scale
+    g_k = np.matmul(g_s.transpose(0, 1, 3, 2), q)
+    g_k *= scale
 
     g_q, g_k, g_v = (_merge_heads(t) for t in (g_q, g_k, g_v))
 
@@ -173,7 +178,9 @@ def mha_backward(
         "bv": g_v.sum(axis=(0, 1)),
         "bo": g_bo,
     }
-    grad_x = g_q @ params["wq"].T + g_k @ params["wk"].T + g_v @ params["wv"].T
+    grad_x = g_q @ params["wq"].T
+    grad_x += g_k @ params["wk"].T
+    grad_x += g_v @ params["wv"].T
     return grads, grad_x
 
 

@@ -150,9 +150,9 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Flat key = value lines of UTF-8 text; '#' starts a comment."""
+    """Flat key = value lines of UTF-8 text, with or without a byte-order mark; '#' starts a comment."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     out = {}
@@ -348,7 +348,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters and the values pin_heap gives them.
+_HEAP_SETTINGS = (
+    (-1, 256 << 20),  # M_TRIM_THRESHOLD: keep up to 256 MiB free at the heap top
+    (-2, 64 << 20),  # M_TOP_PAD: grow the heap 64 MiB beyond each request
+    (-3, 64 << 20),  # M_MMAP_THRESHOLD: serve blocks below 64 MiB from the heap
+)
+
+
+def pin_heap() -> None:
+    """Keep freed heap memory mapped, so a step's large temporaries are not re-faulted.
+
+    glibc returns freed memory at the heap top to the kernel and serves
+    large blocks with fresh mappings, so each training step faulted in
+    thousands of pages again.  These mallopt settings keep the pages and
+    change no result.  A no-op where the C library has no mallopt.
+    Only main calls this: importing harecast changes no process setting.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to load
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    pin_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,10 +14,19 @@ At that fixed row pitch, tap (ky, kx) of output (oy, ox) sits at flat
 index (oy + ky // s) * gw + ox + kx // s of plane (ky % s, kx % s), so each
 tap reads one contiguous run of Ho*gw values in place.  The output is
 formed on the gw-wide grid and its last gw - Wo columns, whose taps wrap
-into the next row, are dropped.  Each valid output still sums the same
-per-tap products in the same tap order as a copied window would give, so
-for a stage with at least two output channels and more than one output
-cell the result is bit-identical to the padded-window form.  With one
+into the next row, are dropped.  The nine tap products are summed a chunk
+of whole samples at a time, at most GRAD_CHUNK values of the output grid
+(at least one sample), the backward's rule below: each tap's product is
+written into one reused buffer and added, in tap order, to a sum that
+starts at +0.0, so the buffers stay cache-sized at any batch size and
+every sum is the whole-batch one.  When one chunk holds the batch (a
+batch-1 forecast, or a small stage), the sum is formed over the whole
+batch with NumPy's own product temporaries, which is faster there: the
+chunk's reused buffers made a batch-1 forecast about 1-2% slower.  Each
+valid output still sums the same per-tap products in the same tap order
+as a copied window would give, so for a stage with at least two output
+channels and more than one output cell the result is bit-identical to the
+padded-window form.  With one
 output channel, NumPy hands each tap's (1, Cin) @ (Cin, N) product to BLAS
 gemv, whose tail columns depend on the row length N (Ho*gw here, Ho*Wo for
 copied windows), so at some sizes a few outputs differ at roundoff; a
@@ -34,10 +43,11 @@ an exact zero added to a sum that starts at +0.0, so every input gradient
 is bit-identical to adding each tap's product into its window.  grad_out
 goes through in chunks of whole samples, at most GRAD_CHUNK values on the
 padded grid (at least one sample), which bounds the buffers at any batch
-size and keeps them in cache.  For the weight gradient, the taps that
-share a plane and a column shift dx read one contiguous copy of that
-plane's columns dx..dx + Wo (3 copies at stride 1, 6 at stride 2), tap
-(ky, kx) taking rows ky // s.. of it as a view.
+size and keeps them in cache; every plane's sum is formed in one reused
+accumulator.  For the weight gradient, the taps that share a plane and a
+column shift dx read one contiguous copy of that plane's columns
+dx..dx + Wo (3 copies at stride 1, 6 at stride 2, made in turn in one
+reused buffer), tap (ky, kx) taking rows ky // s.. of it as a view.
 
 Two shapes keep the window form, each tap's product added into its window
 and each tap's window copied for the weight gradient, because there NumPy
@@ -66,8 +76,9 @@ from ..errors import ShapeError
 
 KERNEL = 3
 PAD = 1
-# Values of grad_out (on the padded output grid) that conv2d_backward spreads
-# at a time: 256 KiB, so its buffers stay cache-sized at any batch size.
+# Values on the output grid that conv2d_forward sums, and of grad_out (on the
+# padded output grid) that conv2d_backward spreads, at a time: 256 KiB, so
+# their buffers stay cache-sized at any batch size.
 GRAD_CHUNK = 2**15
 
 
@@ -123,11 +134,25 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
         planes[:, :, p, dr, dc] = x[:, :, sr, sc]
     taps = w.reshape(cout, cin, KERNEL * KERNEL)
     n = ho * gw
-    out = np.zeros((bsz, cout, n))
-    for k, (p, _, _, off) in enumerate(offsets):
-        out += taps[:, :, k] @ flat[:, :, p, off:off + n]
-    out = out.reshape(bsz, cout, ho, gw)[:, :, :, :wo] + b[:, None, None]
-    return out, ConvCache(flat=flat, stride=stride, shape=x.shape)
+    cache = ConvCache(flat=flat, stride=stride, shape=x.shape)
+    chunk = min(bsz, max(1, GRAD_CHUNK // (cout * n)))
+    if chunk == bsz:  # one chunk holds the batch: the whole-batch sum (module docstring)
+        out = np.zeros((bsz, cout, n))
+        for k, (p, _, _, off) in enumerate(offsets):
+            out += taps[:, :, k] @ flat[:, :, p, off:off + n]
+        return out.reshape(bsz, cout, ho, gw)[..., :wo] + b[:, None, None], cache
+    acc, prod = np.zeros((chunk, cout, n)), np.empty((chunk, cout, n))
+    out = np.empty((bsz, cout, ho, wo))
+    for c in range(0, bsz, chunk):
+        part = flat[c:c + chunk]
+        m = part.shape[0]
+        total, product = acc[:m], prod[:m]
+        if c:  # later chunks clear the sum
+            total.fill(0.0)
+        for k, (p, _, _, off) in enumerate(offsets):
+            total += np.matmul(taps[:, :, k], part[:, :, p, off:off + n], product)
+        np.add(total.reshape(m, cout, ho, gw)[..., :wo], b[:, None, None], out[c:c + m])
+    return out, cache
 
 
 def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first_grad_channel: int = 0):
@@ -156,14 +181,16 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
         for p, dr, dc, sr, sc in phases:
             grad_x[:, :, sr, sc] = grad_planes[:, :, p, dr, dc]
         return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_x
-    # Taps sharing a plane and a column shift read rows dy.. of one copy.
+    # Taps sharing a plane and a column shift read rows dy.. of one copy,
+    # made in one reused buffer.
+    shifted = np.empty((bsz, cin, rows, wo))
     for p, dx in dict.fromkeys((p, dx) for p, _, dx, _ in offsets):
-        shifted = planes[:, :, p, :, dx:dx + wo].copy()
+        np.copyto(shifted, planes[:, :, p, :, dx:dx + wo])
         for k, (tap_p, dy, tap_dx, _) in enumerate(offsets):
             if (tap_p, tap_dx) == (p, dx):
                 view = shifted[:, :, dy:dy + ho].reshape(bsz, cin, ho * wo)
                 grad_w[:, :, k] = np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
-        del shifted, view
+    del shifted, view
     # grad_out on the forward's output grid, after `margin` zeros: plane cell
     # j takes tap k's product at grid cell j - offset, which is zero off the
     # grid.  Whole samples go through at a time, as many as GRAD_CHUNK allows.
@@ -171,6 +198,8 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
     seg = margin + rows * gw
     chunk = min(bsz, max(1, GRAD_CHUNK // (cout * seg)))
     g_flat = np.zeros((chunk, cout, seg))
+    # One accumulator, sized for the plane with the most rows.
+    acc_buf = np.empty(chunk * cg * max(dr.stop - dr.start for _, dr, *_ in phases) * gw)
     grad_x = np.empty((bsz, cg, h, wd))
     for b in range(0, bsz, chunk):
         part = grad_out[b:b + chunk]
@@ -178,7 +207,8 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
         g_flat[:n, :, margin:margin + ho * gw].reshape(n, cout, ho, gw)[..., :wo] = part
         for p, dr, dc, sr, sc in phases:
             lo, hi = dr.start * gw, dr.stop * gw
-            acc = np.zeros((n, cg, hi - lo))
+            acc = acc_buf[:n * cg * (hi - lo)].reshape(n, cg, hi - lo)
+            acc.fill(0.0)
             for k, (tap_p, _, _, off) in enumerate(offsets):
                 if tap_p == p:
                     run = g_flat[:n, :, margin + lo - off:margin + hi - off]
@@ -188,7 +218,11 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
 
 
 def tanh_backward(grad_y: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return grad_y * (1.0 - y * y)
+    """grad_y * (1 - y * y), formed in one new array."""
+    g = y * y
+    np.subtract(1.0, g, out=g)
+    g *= grad_y
+    return g
 
 
 def upsample2_forward(x: np.ndarray) -> np.ndarray:

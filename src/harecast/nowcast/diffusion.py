@@ -117,7 +117,9 @@ def denoiser_forward(x_t, t, cond, cfg: TrainConfig, params: dict):
 
     for name, _, _, stride, tkey in _DOWN:
         proj = temb @ params[f"den.{tkey}.w"] + params[f"den.{tkey}.b"]
-        x = tanhs[name] = np.tanh(conv(name, x, stride) + proj[:, :, None, None])
+        pre = conv(name, x, stride)
+        pre += proj[:, :, None, None]
+        x = tanhs[name] = np.tanh(pre, out=pre)
         skips.append(x)
     skips.pop()  # the bottleneck output is not a skip
 
@@ -126,7 +128,8 @@ def denoiser_forward(x_t, t, cond, cfg: TrainConfig, params: dict):
     x = x + att_y.transpose(0, 2, 1).reshape(x.shape)
 
     for name, _, _, stride, _ in _UP:
-        tanhs[name] = np.tanh(conv(name, upsample2_forward(x), stride))
+        pre = conv(name, upsample2_forward(x), stride)
+        tanhs[name] = np.tanh(pre, out=pre)
         x = tanhs[name] + skips.pop()
     eps_hat = conv(_OUT[0], x, _OUT[3])
     return eps_hat, DenoiserCache(temb=temb, convs=convs, tanhs=tanhs, attn_cache=attn_cache)
@@ -153,7 +156,8 @@ def denoiser_backward(grad_eps, cfg: TrainConfig, params: dict, cache: DenoiserC
     att_grads, g_tok_in = mha_backward(bp, cfg.den_heads, cache.attn_cache, g_tokens)
     for name, arr in att_grads.items():
         grads[f"den.attn.{name}"] += arr
-    g = (g_tokens + g_tok_in).transpose(0, 2, 1).reshape(g.shape)
+    g_tok_in += g_tokens
+    g = g_tok_in.transpose(0, 2, 1).reshape(g.shape)
 
     for name, _, _, _, tkey in reversed(_DOWN):
         g_pre = tanh_backward(g, tanhs[name])
@@ -161,7 +165,8 @@ def denoiser_backward(grad_eps, cfg: TrainConfig, params: dict, cache: DenoiserC
         grads[f"den.{tkey}.w"] += cache.temb.T @ g_ch
         grads[f"den.{tkey}.b"] += g_ch.sum(axis=0)
         if skip_grads:
-            g = conv_back(name, g_pre) + skip_grads.pop()
+            g = conv_back(name, g_pre)
+            g += skip_grads.pop()
     # Only the broadcast conditioning channels of the input get a gradient.
     g_cond_map = conv_back(_DOWN[0][0], g_pre, first=cfg.frames_out)
     return g_cond_map.sum(axis=(2, 3))
@@ -169,9 +174,12 @@ def denoiser_backward(grad_eps, cfg: TrainConfig, params: dict, cache: DenoiserC
 
 def noising(y01: np.ndarray, t: np.ndarray, eps: np.ndarray, sched: DiffusionSchedule):
     """Forward-noise [0,1] frames at per-sample steps t (1-based)."""
-    y = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
+    x = 2.0 * np.asarray(y01, dtype=np.float64)
+    x -= 1.0
     ab = sched.alpha_bars[np.asarray(t) - 1][:, None, None, None]
-    return np.sqrt(ab) * y + np.sqrt(1.0 - ab) * eps
+    x *= np.sqrt(ab)
+    x += np.sqrt(1.0 - ab) * eps
+    return x
 
 
 def diffusion_loss(x_t, t, cond, eps, cfg: TrainConfig, params: dict, grads: dict | None = None):

@@ -34,18 +34,25 @@ def softmax_rows(a) -> np.ndarray:
     """Row-wise softmax with max-subtraction, bitwise as NumPy's max and sum over the last axis.
 
     Rows shorter than 8 are reduced column by column: a max is exact in any
-    order, and sum_last keeps NumPy's order.
+    order, and sum_last keeps NumPy's order.  The argument is not changed:
+    the softmax runs on a copy.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.array(a, dtype=np.float64)
     if a.ndim < 1:
         raise ShapeError("softmax_rows needs at least one axis")
+    return _softmax_in_place(a)
+
+
+def _softmax_in_place(a: np.ndarray) -> np.ndarray:
+    """softmax_rows written into a float64 array a, which it returns."""
     n = a.shape[-1]
     if n >= 8:
-        shifted = a - np.max(a, axis=-1, keepdims=True)
-        ex = np.exp(shifted)
-        return ex / np.sum(ex, axis=-1, keepdims=True)
-    ex = np.exp(a - functools.reduce(np.maximum, [a[..., j] for j in range(n)])[..., None])
-    return ex / sum_last(ex)[..., None]
+        a -= np.max(a, axis=-1, keepdims=True)
+    else:
+        a -= functools.reduce(np.maximum, [a[..., j] for j in range(n)])[..., None]
+    np.exp(a, out=a)
+    a /= sum_last(a)[..., None]
+    return a
 
 
 def sum_last(a: np.ndarray) -> np.ndarray:
@@ -75,7 +82,9 @@ def mse(pred: np.ndarray, target: np.ndarray):
     sq = diff * diff
     count = diff.size
     per_sample = np.sum(sq, axis=tuple(range(1, diff.ndim))) * (diff.shape[0] / count)
-    return float(np.sum(sq)) / count, per_sample, 2.0 * diff / count
+    diff *= 2.0  # diff becomes the gradient, 2 diff / count
+    diff /= count
+    return float(np.sum(sq)) / count, per_sample, diff
 
 
 def _box_muller(r: np.ndarray, theta: np.ndarray) -> None:

@@ -6,8 +6,10 @@ one thread.  It builds the default `TrainConfig` model and training split
 and then runs `steps` SGD steps as `train` does: draw a batch, run
 `objective` with the stabilization loss, update every parameter.  Each step
 prints `step <i> faults <minor faults> ms <wall ms>`, and a last line gives
-the medians.  Nothing else runs in the process first, so a step's faults
-count the heap pages it returns to the kernel and takes back: the
+the medians.  Before the first step it applies the heap setting the
+`harecast` command applies (`cli.pin_heap`), so it measures what `harecast
+train-toy` runs with.  Nothing else runs in the process first, so a step's
+faults count any heap pages it returns to the kernel and takes back: the
 allocation churn a benchmark loop that warms the heap first does not see.
 Not a pytest module.
 """
@@ -26,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from harecast.cli import pin_heap  # noqa: E402
 from harecast.nowcast.training import (  # noqa: E402
     TrainConfig,
     build_model,
@@ -39,6 +42,7 @@ from harecast.tensor_core import SeededRng  # noqa: E402
 
 def main(argv: list[str]) -> int:
     steps = int(argv[0]) if argv else 30
+    pin_heap()
     cfg = TrainConfig()
     model = build_model(cfg)
     train_specs, _, _ = make_split(cfg.seed + 10_000, cfg.n_train, cfg.n_val, cfg.n_test, cfg.height, cfg.width)

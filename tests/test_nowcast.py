@@ -22,7 +22,13 @@ from harecast.cli import main
 from harecast.errors import ConfigError
 from harecast.gradcheck import _robust_micro_instance, check_gradients, micro_train_config, objective_gradcheck
 from harecast.nowcast import convnet, training
-from harecast.nowcast.convnet import conv2d_backward, conv2d_forward, tanh_backward
+from harecast.nowcast.convnet import (
+    conv2d_backward,
+    conv2d_forward,
+    tanh_backward,
+    upsample2_backward,
+    upsample2_forward,
+)
 from harecast.nowcast.diffusion import (
     DENOISER_STAGES,
     ddim_sample,
@@ -51,7 +57,7 @@ from harecast.nowcast.training import (
     train,
 )
 from harecast.synthdata import make_split, render_radar
-from harecast.tensor_core import SeededRng, softmax_rows, weight_grad
+from harecast.tensor_core import SeededRng, mse, softmax_rows, weight_grad
 
 
 def assert_bitwise(got, want):
@@ -317,6 +323,22 @@ class TestConv:
         for got_part, ref_part in zip(conv2d_backward(g, w, cache), reference_conv2d_backward(g, w, want_cache)):
             assert_bitwise(got_part, ref_part)
 
+    @pytest.mark.parametrize("samples", [1, 2, 5], ids=["one-sample-chunks", "two-sample-chunks", "one-chunk"])
+    @pytest.mark.parametrize("hw", [(7, 9), (16, 16)], ids=lambda hw: "%dx%d" % hw)
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_bitwise_across_sample_chunks(self, monkeypatch, stride, hw, samples, bsz=5, cin=5, cout=6):
+        # A budget of `samples` samples on the output grid cuts the batch of
+        # 5 into 1 + 1 + 1 + 1 + 1, 2 + 2 + 1, or one chunk of 5.
+        rng = np.random.default_rng([stride, *hw, samples])
+        x = rng.normal(size=(bsz, cin) + hw)
+        w = rng.normal(size=(cout, cin * 9))
+        b = rng.normal(size=cout)
+        ho, _, gw, *_ = convnet._layout(*hw, stride)
+        monkeypatch.setattr(convnet, "GRAD_CHUNK", samples * cout * ho * gw)
+        out, _ = conv2d_forward(x, w, b, stride)
+        want, _ = reference_conv2d_forward(x, w, b, stride)
+        assert_bitwise(out, want)
+
     @pytest.mark.parametrize("hw,stride,cin,cout", [((12, 12), 2, 4, 1), ((7, 9), 1, 3, 1), ((2, 1), 2, 5, 6)],
                              ids=["12x12-s2-cout1", "7x9-s1-cout1", "2x1-s2-one-cell"])
     def test_forward_near_the_padded_window_conv_off_the_bitwise_rule(self, hw, stride, cin, cout):
@@ -417,42 +439,51 @@ class TestMemoryCeilings:
 
 
 def test_hot_kernels_leave_inputs_and_caches_unchanged():
-    """The step's softmax, attention, tanh and conv backward kernels write into no argument or saved cache."""
+    """No public kernel of the step writes into its arguments or a saved cache.
 
-    def frozen(*arrays):
-        return [a.copy() for a in arrays]
+    Several kernels work in place on arrays they have just made; each call
+    here must leave the bytes of every array it was given, those inside a
+    parameter dict or a cache included.
+    """
 
-    def assert_unchanged(arrays, copies):
-        for a, c in zip(arrays, copies):
-            assert_bitwise(a, c)
+    def call(fn, *args):
+        arrays = []
+        for arg in args:
+            if isinstance(arg, dict):
+                arrays += arg.values()
+            elif dataclasses.is_dataclass(arg):
+                arrays += [v for v in vars(arg).values() if isinstance(v, np.ndarray)]
+            elif isinstance(arg, np.ndarray):
+                arrays.append(arg)
+        before = [a.tobytes() for a in arrays]
+        result = fn(*args)
+        assert [a.tobytes() for a in arrays] == before, fn.__name__
+        return result
 
     rng = SeededRng(17)
-    scores = rng.normal((2, 2, 9, 9))
-    kept = frozen(scores)
-    assert_bitwise(softmax_rows(scores), reference_softmax_rows(scores))
-    assert_unchanged([scores], kept)
+    for shape in ((2, 2, 9, 9), (3, 5), (4, 1)):  # long rows, short rows, one column
+        scores = rng.normal(shape)
+        assert_bitwise(call(softmax_rows, scores), reference_softmax_rows(scores))
+
+    pred, target = rng.normal((3, 2, 4, 4)), rng.normal((3, 2, 4, 4))
+    call(mse, pred, target)
+    y01, eps = rng.uniform((3, 2, 4, 4)), rng.normal((3, 2, 4, 4))
+    call(noising, y01, np.array([1, 500, 1000]), eps, make_schedule(1000))
+
+    y, g = np.tanh(rng.normal((2, 3, 4, 4))), rng.normal((2, 3, 4, 4))
+    assert_bitwise(call(tanh_backward, g, y), g * (1.0 - y * y))
+    call(upsample2_forward, y)
+    call(upsample2_backward, rng.normal((2, 3, 8, 8)))
 
     params = init_attention(8, rng)
     x, grad_y = rng.normal((3, 9, 8)), rng.normal((3, 9, 8))
-    kept = frozen(x, *params.values())
-    _, cache = mha_forward(x, params, 2)
-    assert_unchanged([x, *params.values()], kept)
-    grad_o = rng.normal(cache.o.shape)
-    arrays = [grad_y, grad_o, *params.values(), cache.x, cache.q, cache.k, cache.a, cache.v, cache.o]
-    kept = frozen(*arrays)
-    mha_backward(params, 2, cache, grad_y, grad_o)
-    assert_unchanged(arrays, kept)
-
-    y, g = np.tanh(rng.normal((2, 3, 4, 4))), rng.normal((2, 3, 4, 4))
-    kept = frozen(y, g)
-    assert_bitwise(tanh_backward(g, y), g * (1.0 - y * y))
-    assert_unchanged([y, g], kept)
+    _, cache = call(mha_forward, x, params, 2)
+    call(mha_backward, params, 2, cache, grad_y, rng.normal(cache.o.shape))
 
     for name in ("in", "d1", "out"):
-        _, w, _, _, _, cache, grad_out = conv_case(name, 2)
-        kept = frozen(w, cache.flat, grad_out)
-        conv2d_backward(grad_out, w, cache, first_grad_channel=1)
-        assert_unchanged([w, cache.flat, grad_out], kept)
+        x, w, b, stride, _, _, grad_out = conv_case(name, 2)
+        _, cache = call(conv2d_forward, x, w, b, stride)
+        call(conv2d_backward, grad_out, w, cache, 1)
 
 
 class TestDenoiser:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -568,6 +569,16 @@ class TestCliCommands:
         assert err.startswith(f"error: {cfgfile}: not UTF-8") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        # Some editors start UTF-8 text with a byte-order mark; the file then
+        # reads as the same file without one.
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text("steps = 3  # short\nlambda_hare = 0.5\n", encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert cli.parse_config_file(marked) == cli.parse_config_file(plain) == {"steps": 3, "lambda_hare": 0.5}
+        args = cli.build_parser().parse_args(["train-toy", "--out", str(tmp_path / "x"), "--config", str(marked)])
+        assert cli.build_train_config(args) == training.TrainConfig(steps=3, lambda_hare=0.5)
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("bogus_key = 3\n", encoding="utf-8")
@@ -881,6 +892,65 @@ class TestCliEval:
         (pred_dir / "extra.bin").write_bytes((pred_dir / "e0.bin").read_bytes())
         assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]) == 2
         assert "extra.bin" in capsys.readouterr().err
+
+
+class TestPinHeap:
+    """cli.pin_heap sets glibc's heap thresholds, and only cli.main calls it."""
+
+    @staticmethod
+    def fake_libc(calls):
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        return type("Libc", (), {"mallopt": Mallopt()})()
+
+    def test_sets_the_three_thresholds(self, monkeypatch):
+        calls = []
+        libc = self.fake_libc(calls)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        cli.pin_heap()
+        # M_TRIM_THRESHOLD 256 MiB, M_TOP_PAD 64 MiB, M_MMAP_THRESHOLD 64 MiB
+        assert calls == [(-1, 256 << 20), (-2, 64 << 20), (-3, 64 << 20)]
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert libc.mallopt.restype is ctypes.c_int
+
+    @pytest.mark.parametrize("libc", ["without mallopt", "not loadable"])
+    def test_silent_no_op_without_mallopt(self, monkeypatch, capsys, libc):
+        def load(name):
+            if libc == "not loadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        assert cli.pin_heap() is None
+        assert capsys.readouterr() == ("", "")
+
+    def test_main_pins_before_any_work(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "pin_heap", lambda: calls.append("pin"))
+        monkeypatch.setattr(cli, "read_trace", lambda path: calls.append("work") or [])
+        main(["analyze", "--input", str(tmp_path / "t.jsonl")])
+        assert calls == ["pin", "work"]
+
+    def test_importing_the_library_pins_nothing(self, tmp_path):
+        # A fresh interpreter counts the C-library loads pin_heap makes:
+        # none on import, one per cli.main call.
+        code = (
+            "import ctypes, sys\n"
+            "loads, real = [], ctypes.CDLL\n"
+            "ctypes.CDLL = lambda name, *a, **k: loads.append(name) or real(name, *a, **k)\n"
+            "import harecast, harecast.cli, harecast.nowcast.training\n"
+            "before = loads.count(None)\n"
+            "harecast.cli.main(['analyze', '--input', sys.argv[1]])\n"
+            "print(before, loads.count(None))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "missing.jsonl")], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.stdout.split() == ["0", "1"], proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
 
 class FuzzSentinel(Exception):
