@@ -124,13 +124,14 @@ def mha_backward(
     params: dict,
     heads: int,
     cache: MhaCache,
-    grad_y: np.ndarray | None,
+    grad_y: np.ndarray,
     grad_o_extra: np.ndarray | None = None,
 ):
     """Exact gradients of (downstream loss + extra O-path loss).
 
-    grad_y is dL/dy (B, N, d) or None for zero; grad_o_extra is an
-    additional dL/dO (B, M, N, d_h) injected at the head responses.
+    grad_y is the array dL/dy (B, N, d), zeros when only the O path has a
+    loss; grad_o_extra is an additional dL/dO (B, M, N, d_h) injected at
+    the head responses.
     Returns (grads: dict keyed by PARAM_NAMES, grad_x: (B, N, d)).
     """
     if cache is None:
@@ -138,8 +139,6 @@ def mha_backward(
     x, q, k, a, v, o = cache.x, cache.q, cache.k, cache.a, cache.v, cache.o
     scale = 1.0 / np.sqrt(x.shape[2] // heads)
 
-    if grad_y is None:
-        grad_y = np.zeros_like(x)
     grad_y = np.asarray(grad_y, dtype=np.float64)
     if grad_y.shape != x.shape:
         raise ShapeError(f"grad_y shape {grad_y.shape} != input shape {x.shape}")

@@ -117,12 +117,10 @@ def _rows(samples) -> np.ndarray:
     return arr.reshape(arr.shape[0], -1)
 
 
-def _centred(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, mean, sq): samples flattened to rows, their mean row, and the
-    squared norm of each row's deviation from it."""
+def _centred_sq(samples) -> np.ndarray:
+    """Squared norm of each sample's deviation from the mean sample."""
     rows = _rows(samples)
-    mean = _row_mean(rows)
-    return rows, mean, _sq_norms(rows - mean)
+    return _sq_norms(rows - _row_mean(rows))
 
 
 def _paired_moments(y: np.ndarray, yhat: np.ndarray):
@@ -300,8 +298,8 @@ def check_lemma1(head: LinearHead, f_samples) -> BoundReport:
     f = np.asarray(f_samples, dtype=np.float64)
     yhat = _apply_head(head, f)
     c_g = sigma_min(head.w)
-    sq_f = _centred(f)[2]
-    sq_yhat = _centred(yhat)[2]
+    sq_f = _centred_sq(f)
+    sq_yhat = _centred_sq(yhat)
     var_f = float(np.mean(sq_f))
     var_yhat = float(np.mean(sq_yhat))
     se = _margin_se(sq_yhat, c_g**2 * sq_f)
@@ -522,6 +520,15 @@ def _error_sweep(rng: SeededRng, dim: int, out: np.ndarray, draws: np.ndarray) -
         out[:, t] = _paired_moments(y, yhat)
 
 
+def _record_admissible(case: str, prefix: str, res: TheoremResult, reports: list, refusals: list) -> None:
+    """Add an admissible theorem case's reports, each name prefixed, or its refusal as a violation."""
+    if res.refused:
+        refusals.append((case, res.refusal_reason, False))
+    for rep in res.reports:
+        rep.name = prefix + rep.name
+        reports.append(rep)
+
+
 def run_verification_suite(trials: int, seed: int) -> SuiteReport:
     """Lemma and theorem sweeps.
 
@@ -582,14 +589,10 @@ def run_verification_suite(trials: int, seed: int) -> SuiteReport:
     double = linear_map(np.array([[2.0]]))
     ident = LinearHead.from_matrix(np.array([[1.0]]))
     res = check_theorem1(x, double, ident, x, check_reduced_forms=True)
-    if res.refused:
-        refusals.append(("theorem_analytic_case", res.refusal_reason, False))
-    else:
-        for rep in res.reports:
-            rep.name = "analytic_" + rep.name
-            if rep.name == "analytic_mse_vs_target_variance":
-                rep.constants["equality_gap_rel"] = abs(rep.lhs - rep.rhs) / rep.lhs
-            reports.append(rep)
+    _record_admissible("theorem_analytic_case", "analytic_", res, reports, refusals)
+    for rep in res.reports:
+        if rep.name == "analytic_mse_vs_target_variance":
+            rep.constants["equality_gap_rel"] = abs(rep.lhs - rep.rhs) / rep.lhs
 
     # Random admissible configurations.
     for i in range(100):
@@ -602,13 +605,8 @@ def run_verification_suite(trials: int, seed: int) -> SuiteReport:
         fmap = linear_map(_orthogonal(rng, dim) @ np.diag(gain) @ _orthogonal(rng.spawn(2), dim))
         head = _random_head(rng.spawn(4), dim, smin=0.95, smax=2.0)
         y = matched_variance_targets(x, rng.spawn(6))
-        res = check_theorem1(x, fmap, head, y)
-        if res.refused:
-            refusals.append((f"theorem_random_{i}", res.refusal_reason, False))
-        else:
-            for rep in res.reports:
-                rep.name = f"random{i}_" + rep.name
-                reports.append(rep)
+        _record_admissible(f"theorem_random_{i}", f"random{i}_", check_theorem1(x, fmap, head, y),
+                           reports, refusals)
 
     # Refusal probes: these MUST refuse.
     x = draw_samples(DistributionSpec(kind="gaussian", dim=2, n=4_000, seed=seed + 11))

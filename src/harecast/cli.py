@@ -212,12 +212,9 @@ def cmd_train_toy(args) -> int:
 
 def _load_frames(path: Path) -> np.ndarray:
     tensors = load_tensors(path)
-    if "frames" in tensors:
-        frames = tensors["frames"]
-    elif len(tensors) == 1:
-        frames = next(iter(tensors.values()))
-    else:
+    if "frames" not in tensors:
         raise DataError(f"{path}: expected a 'frames' entry, found {sorted(tensors)}")
+    frames = tensors["frames"]
     if frames.ndim != 3 or not frames.size:
         raise DataError(f"{path}: frames must be a non-empty (frames, H, W) stack, got shape {frames.shape}")
     if not np.all(np.isfinite(frames)):

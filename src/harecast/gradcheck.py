@@ -114,8 +114,8 @@ def attention_gradcheck(seed: int) -> GradCheckReport:
     return check_gradients(loss, params, analytic, SeededRng(seed + 7))
 
 
-def micro_train_config(seed: int, lambdas=(1.0, 1.0, 5.0)):
-    """The micro model the end-to-end objective check runs on."""
+def micro_train_config(seed: int, lambdas):
+    """The micro model the end-to-end objective check runs on, with (recon, hare, diff) loss weights."""
     from .nowcast.training import TrainConfig
 
     return TrainConfig(
@@ -174,17 +174,8 @@ def objective_gradcheck(seed: int, hare_only: bool = False) -> GradCheckReport:
 
 def run_gradcheck_suite(seed: int, seeds: int):
     """(ok, rows) across attention and end-to-end objective checks."""
-    rows = []
-    ok = True
-    for s in range(seed, seed + 5):
-        rep = attention_gradcheck(s)
-        rows.append(("attention", s, rep))
-        ok &= rep.ok
+    rows = [("attention", s, attention_gradcheck(s)) for s in range(seed, seed + 5)]
     for s in range(seed, seed + seeds):
-        rep = objective_gradcheck(s, hare_only=True)
-        rows.append(("stabilization_only", s, rep))
-        ok &= rep.ok
-        rep = objective_gradcheck(s, hare_only=False)
-        rows.append(("full_objective", s, rep))
-        ok &= rep.ok
-    return ok, rows
+        rows.append(("stabilization_only", s, objective_gradcheck(s, hare_only=True)))
+        rows.append(("full_objective", s, objective_gradcheck(s, hare_only=False)))
+    return all(rep.ok for _, _, rep in rows), rows

@@ -51,8 +51,7 @@ class ContingencyCounts:
 
 
 def _field(x) -> np.ndarray:
-    frames = getattr(x, "frames", x)
-    return np.asarray(frames, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
 
 
 def _threshold_counts(p: np.ndarray, t: np.ndarray, thresholds) -> tuple:

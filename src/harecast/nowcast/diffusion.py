@@ -182,12 +182,12 @@ def noising(y01: np.ndarray, t: np.ndarray, eps: np.ndarray, sched: DiffusionSch
     return x
 
 
-def diffusion_loss(x_t, t, cond, eps, cfg: TrainConfig, params: dict, grads: dict | None = None):
+def diffusion_loss(x_t, t, cond, eps, cfg: TrainConfig, params: dict, grads: dict | None):
     """Noise-prediction MSE.
 
-    Returns (loss, per_sample, g_cond).  With a grads registry supplied,
-    denoiser gradients are accumulated into it and g_cond is the gradient
-    wrt the conditioning vector; otherwise g_cond is None.
+    Returns (loss, per_sample, g_cond).  With a grads registry, denoiser
+    gradients are accumulated into it and g_cond is the gradient wrt the
+    conditioning vector; with grads None, g_cond is None.
     """
     eps_hat, cache = denoiser_forward(x_t, t, cond, cfg, params)
     loss, per_sample, grad_eps = mse(eps_hat, eps)

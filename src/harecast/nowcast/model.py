@@ -134,12 +134,12 @@ def reconstruction_loss(
     patches: np.ndarray,
     cfg: TrainConfig,
     params: dict,
-    grads: dict | None = None,
+    grads: dict | None,
 ):
     """Mean-squared reconstruction error of the encoder's patches, summed over the modalities.
 
     Modality i's target is block i of P*P features of EncoderCache.patches.  Returns
-    (loss, grad_f); without a grads registry nothing is accumulated and grad_f is None.
+    (loss, grad_f); with grads None nothing is accumulated and grad_f is None.
     """
     loss = 0.0
     grad_f = np.zeros_like(f) if grads is not None else None

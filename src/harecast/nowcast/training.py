@@ -11,7 +11,7 @@ decoders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,12 +45,9 @@ MODES = ("unimodal", "multimodal")
 # Keys of each TrainResult.losses row, in the column order of losses.csv.
 LOSS_COLUMNS = ("step", "recon", "hare", "diff", "total")
 
-# Counts and sizes that must be >= 1; __post_init__ names the offending key.
-_SIZE_KEYS = (
-    "height", "width", "frames_in", "frames_out", "patch", "dim", "layers", "heads",
-    "den_base", "den_mid", "den_bottleneck", "den_heads", "time_dim", "cond_dim",
-    "diffusion_steps", "batch_size", "steps", "n_train", "n_val", "n_test", "probe_batches",
-)
+# Every int field of TrainConfig is a count or size that must be >= 1,
+# except these, whose own rules __post_init__ checks.
+_OWN_INT_RULES = ("seed", "sample_steps", "trace_every")
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_seed("seed", self.seed)
-        for key in _SIZE_KEYS:
+        for key in (f.name for f in fields(self) if f.type == "int" and f.name not in _OWN_INT_RULES):
             value = getattr(self, key)
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
@@ -324,8 +321,8 @@ def train(cfg: TrainConfig, hare_enabled: bool | None = None) -> TrainResult:
     )
 
 
-def sample_conditioned(model: Model, f: np.ndarray, n_steps: int, rng: SeededRng) -> np.ndarray:
-    """DDIM forecast (B, frames_out, H, W) conditioned on the latent F (B, N, dim)."""
+def sample_conditioned(model: Model, f: np.ndarray, rng: SeededRng) -> np.ndarray:
+    """DDIM forecast (B, frames_out, H, W) from the latent F (B, N, dim), in model.cfg.sample_steps steps."""
     cond, _ = conditioning_forward(f, model.params)
 
     def eps_fn(x, t):
@@ -333,7 +330,7 @@ def sample_conditioned(model: Model, f: np.ndarray, n_steps: int, rng: SeededRng
         return out
 
     shape = (f.shape[0], model.cfg.frames_out, model.cfg.height, model.cfg.width)
-    return ddim_sample(eps_fn, model.sched, shape, n_steps, rng)
+    return ddim_sample(eps_fn, model.sched, shape, model.cfg.sample_steps, rng)
 
 
 def make_predictor(model: Model, cfg: TrainConfig, base_rng: SeededRng):
@@ -344,7 +341,7 @@ def make_predictor(model: Model, cfg: TrainConfig, base_rng: SeededRng):
         inputs = _context_inputs(context[None], cfg)
         f, _ = encode(inputs["x_radar"], inputs.get("x_sat"), cfg, model.params)
         state["calls"] += 1
-        return sample_conditioned(model, f, cfg.sample_steps, base_rng.spawn(state["calls"]))[0]
+        return sample_conditioned(model, f, base_rng.spawn(state["calls"]))[0]
 
     return predict_chunk
 
@@ -391,7 +388,7 @@ def probe_model(model: Model, cfg: TrainConfig, probe_specs) -> tuple[list, dict
         group = specs[b * bsz:(b + 1) * bsz]
         data = render_dataset(group, cfg)
         f, enc_cache = encode(data["x_radar"], data.get("x_sat"), cfg, model.params)
-        pred = sample_conditioned(model, f, cfg.sample_steps, rng.spawn(b + 1))
+        pred = sample_conditioned(model, f, rng.spawn(b + 1))
         csi = csi_m(pred, data["y_future"], SEVIR_THRESHOLDS)
         if np.isnan(csi):
             event_free += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +55,23 @@ def write_trace(path, records) -> None:
     write_artifact(path, "".join(rec.to_line() + "\n" for rec in records).encode("utf-8"))
 
 
-def _typed(obj: dict, key: str, kinds: tuple, what: str):
-    """obj[key] if it is one of the JSON kinds (never a boolean), else TypeError."""
-    value = obj[key]
+# The JSON kinds each TraceRecord annotation accepts (never a boolean), as
+# the error names them; a number is read as a float.
+_KINDS = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float), "a number"),
+}
+
+
+def _typed(obj: dict, f: Field):
+    """obj[f.name] if it is of a kind f's annotation accepts, else TypeError."""
+    kinds, what = _KINDS[f.type]
+    value = obj[f.name]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def _number(obj: dict, key: str) -> float:
-    return float(_typed(obj, key, (int, float), "a number"))
+        raise TypeError(f"{f.name} must be {what}, got {value!r}")
+    return float(value) if float in kinds else value
 
 
 def read_trace(path) -> list[TraceRecord]:
@@ -78,13 +85,10 @@ def read_trace(path) -> list[TraceRecord]:
                 if not line:
                     continue
                 obj = json.loads(line)
-                rec = TraceRecord(
-                    run_id=_typed(obj, "run_id", (str,), "a string"),
-                    **{key: _typed(obj, key, (int,), "an integer")
-                       for key in ("step", "batch_id", "layer", "head", "sample")},
-                    energy=_number(obj, "energy"),
-                    batch_csi_m=_number(obj, "batch_csi_m") if "batch_csi_m" in obj else None,
-                )
+                # A field with a default may be absent.  The default is tested
+                # first, so a line that is not a JSON object fails on its first key.
+                rec = TraceRecord(**{f.name: _typed(obj, f) for f in fields(TraceRecord)
+                                     if f.default is MISSING or f.name in obj})
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: malformed trace record at line {lineno}: {exc}") from exc
             if not all(math.isfinite(v) for v in (rec.energy, rec.batch_csi_m) if v is not None):

@@ -120,6 +120,13 @@ class TestBackward:
         with pytest.raises(StateError):
             mha_backward(params, heads, None, np.zeros_like(x))
 
+    def test_grad_y_none_is_shape_error(self):
+        # grad_y is an array; an O-path-only loss passes zeros.
+        heads, params, x = small_setup(2)
+        _, cache = mha_forward(x, params, heads)
+        with pytest.raises(ShapeError, match="grad_y shape"):
+            mha_backward(params, heads, cache, None, np.zeros_like(cache.o))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, seed):
         heads, params, x = small_setup(seed, bsz=2, n=5, d=8, heads=2)
@@ -147,7 +154,7 @@ class TestBackward:
             return float(np.sum(cache.o ** 2))
 
         _, cache = mha_forward(x, params, heads)
-        grads, _ = mha_backward(params, heads, cache, None, 2.0 * cache.o)
+        grads, _ = mha_backward(params, heads, cache, np.zeros_like(x), 2.0 * cache.o)
         report = check_gradients(
             loss, params, grads, SeededRng(12)
         )

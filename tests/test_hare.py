@@ -303,7 +303,7 @@ class TestEndToEndGradient:
 
         _, cache = mha_forward(x, params, heads)
         res = block_stabilization(cache.o, mask, alpha=ALPHA, grouping=True, detach_target=False)
-        grads, _ = mha_backward(params, heads, cache, None, res.grad_o)
+        grads, _ = mha_backward(params, heads, cache, np.zeros_like(x), res.grad_o)
         report = check_gradients(
             loss, params, grads, SeededRng(seed + 3),
             coords_per_param=8,
@@ -324,7 +324,7 @@ class TestEndToEndGradient:
             ge = np.stack([e[:, g].mean(axis=1) for g in groups0], axis=1)
             return float(np.maximum(ge - mu0, 0.0).sum() / x.shape[0])
 
-        grads, _ = mha_backward(params, heads, cache0, None, res0.grad_o)
+        grads, _ = mha_backward(params, heads, cache0, np.zeros_like(x), res0.grad_o)
         report = check_gradients(
             frozen_loss, params, grads, SeededRng(5),
             coords_per_param=8,

@@ -149,7 +149,7 @@ class TestReconstruct:
         x = SeededRng(8).uniform((2, 2, 8, 8))
         f, _ = encode(x, None, cfg, params)
         np.testing.assert_allclose(decode_radar(f, cfg, params), x, atol=1e-12)
-        loss, _ = reconstruction_loss(f, patchify(x, cfg.patch), cfg, params)
+        loss, _ = reconstruction_loss(f, patchify(x, cfg.patch), cfg, params, None)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_loss_matches_mse_oracle(self):
@@ -157,7 +157,7 @@ class TestReconstruct:
         params = init_encoder_params(cfg, SeededRng(9))
         x = SeededRng(10).uniform((3, 2, 16, 16))
         f, _ = encode(x, None, cfg, params)
-        loss, grad_f = reconstruction_loss(f, patchify(x, cfg.patch), cfg, params)
+        loss, grad_f = reconstruction_loss(f, patchify(x, cfg.patch), cfg, params, None)
         assert grad_f is None  # no grads registry, no backward
         oracle = float(np.mean((decode_radar(f, cfg, params) - x) ** 2))
         assert loss == pytest.approx(oracle, abs=1e-12)
@@ -168,7 +168,7 @@ class TestReconstruct:
         assert "dec.satellite.w" not in params
         f, _ = encode(SeededRng(12).uniform((1, 2, 16, 16)), None, cfg, params)
         # Only the radar decoder runs, so no satellite patches are needed.
-        loss, _ = reconstruction_loss(f, patchify(np.zeros((1, 2, 16, 16)), cfg.patch), cfg, params)
+        loss, _ = reconstruction_loss(f, patchify(np.zeros((1, 2, 16, 16)), cfg.patch), cfg, params, None)
         assert np.isfinite(loss)
 
     @pytest.mark.parametrize("mode", ["unimodal", "multimodal"])
@@ -490,7 +490,7 @@ class TestDenoiser:
     @pytest.mark.parametrize("bsz", [1, 8])
     @pytest.mark.parametrize("model", ["default", "gradcheck_micro"])
     def test_stage_table_is_bitwise_the_hand_written_denoiser(self, model, bsz):
-        cfg = TrainConfig() if model == "default" else micro_train_config(0)
+        cfg = TrainConfig() if model == "default" else micro_train_config(0, (1.0, 1.0, 5.0))
         params = init_denoiser_params(cfg, SeededRng(cfg.seed, stream=1000).spawn(2000))
         want = reference_init_denoiser_params(cfg, SeededRng(cfg.seed, stream=1000).spawn(2000))
         assert list(params) == list(want)
@@ -526,7 +526,7 @@ class TestDenoiser:
         t = np.asarray(rng.integers(1, 1001, size=bsz))
         eps = rng.normal(y.shape)
         x_t = noising(y, t, eps, sched)
-        loss, _, g_cond = diffusion_loss(x_t, t, np.zeros((bsz, 4)), eps, cfg, params)
+        loss, _, g_cond = diffusion_loss(x_t, t, np.zeros((bsz, 4)), eps, cfg, params, None)
         assert g_cond is None  # no grads registry, no backward
         n = eps.size
         assert abs(loss - 1.0) < 3 * np.sqrt(2.0 / n)
@@ -741,7 +741,7 @@ class TestTraining:
     def test_multimodal_objective_gradients_and_rerun(self, tmp_path):
         # Only multimodal runs reach the satellite decoder and the 2*P*P patch vector.
         for seed in range(3):
-            cfg = dataclasses.replace(micro_train_config(seed), mode="multimodal")
+            cfg = dataclasses.replace(micro_train_config(seed, (1.0, 1.0, 5.0)), mode="multimodal")
             model, batch, draws, res = _robust_micro_instance(cfg, seed)
             assert "dec.satellite.w" in res.grads and model.params["enc.embed.w"].shape[0] == 2 * 8 * 8
 

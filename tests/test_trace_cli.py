@@ -596,6 +596,7 @@ class TestCliCommands:
     def test_config_file_and_comments(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(
+            "# a whole-line comment\n\n"
             "steps = 3   # short run\nheight = 16\nwidth = 16\nframes_in = 2\n"
             "frames_out = 2\npatch = 8\ndim = 8\nlayers = 1\nheads = 2\n"
             "den_base = 4\nden_mid = 6\nden_bottleneck = 8\nbatch_size = 2\n"
@@ -605,6 +606,13 @@ class TestCliCommands:
         assert self.run("train-toy", "--out", str(tmp_path / "out"), "--config", str(cfgfile)) == 0
         out = capsys.readouterr().out
         assert "steps: 3" in out
+
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("# comment\n\nsteps = 3\nlayers 2  # no '='\n", encoding="utf-8")
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), "--config", str(cfgfile)) == 2
+        assert capsys.readouterr().err == f"error: {cfgfile}:4: expected 'key = value', got 'layers 2'\n"
+        assert not (tmp_path / "x").exists()
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert self.run("analyze", "--input", str(tmp_path / "nope.jsonl")) == 3
@@ -815,7 +823,7 @@ class TestCliEval:
         assert csv.read_text().splitlines() == want
 
     @pytest.mark.parametrize("cut", ["bad_magic", "cut_header", "cut_payload", "bad_name", "trailing",
-                                     "overflow", "duplicate"])
+                                     "overflow", "duplicate", "no_frames"])
     def test_malformed_tensor_file_is_io_error(self, tmp_path, capsys, cut):
         pred_dir, truth_dir = self.make_dirs(tmp_path)
         path = pred_dir / "e1.bin"
@@ -828,7 +836,9 @@ class TestCliEval:
                           # shape (2**31, 2**31, 4) wraps an int64 element count to 0
                           "overflow": tensor_file((2**31, 2**31, 4), blob[29:]),
                           # the one 'frames' entry twice, under a count of 2
-                          "duplicate": blob[:4] + struct.pack("<I", 2) + 2 * blob[8:]}[cut])
+                          "duplicate": blob[:4] + struct.pack("<I", 2) + 2 * blob[8:],
+                          # a well-formed file whose one entry is not named 'frames'
+                          "no_frames": blob.replace(b"frames", b"fields", 1)}[cut])
         assert main(["eval", "--pred", str(pred_dir), "--truth", str(truth_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "e1.bin" in err and err.count("\n") == 1
