@@ -394,46 +394,29 @@ def check_theorem1(
     c_f = float(np.sqrt(var_f / var_x))
     c_g = sigma_min(head.w)
 
-    if c_g * c_f <= 1.0:
-        return TheoremResult(
-            refused=True,
-            refusal_reason=f"requires c_G*c_F > 1, got {c_g * c_f!r}",
-        )
-    if abs(var_y - var_x) > 1e-9 * max(var_x, 1e-300):
-        return TheoremResult(
-            refused=True,
-            refusal_reason=(
-                f"requires Var(Y) == Var(X), got Var(Y)={var_y!r} Var(X)={var_x!r}"
-            ),
-        )
+    preconditions = (
+        (c_g * c_f <= 1.0, f"requires c_G*c_F > 1, got {c_g * c_f!r}"),
+        (abs(var_y - var_x) > 1e-9 * max(var_x, 1e-300),
+         f"requires Var(Y) == Var(X), got Var(Y)={var_y!r} Var(X)={var_x!r}"),
+    )
+    for violated, reason in preconditions:
+        if violated:
+            return TheoremResult(refused=True, refusal_reason=reason)
 
     consts = {
         "c_F": c_f, "c_G": c_g, "bias_sq": bias_sq,
         "var_x": var_x, "var_f": var_f, "var_y": var_y, "var_yhat": var_yhat,
     }
-    scale = max(1.0, mse)
-    eps = EXACT_EPS * scale
-    reports = [
-        _report(
-            "mse_vs_response_sd_gap", mse,
-            bias_sq + (c_g * np.sqrt(var_f) - np.sqrt(var_y)) ** 2, eps, consts,
-        ),
-        _report(
-            "mse_vs_response_variance", mse,
-            bias_sq + (c_g - 1.0 / c_f) ** 2 * var_f, eps, consts,
-        ),
-        _report(
-            "mse_vs_target_variance", mse,
-            bias_sq + (c_g * c_f - 1.0) ** 2 * var_y, eps, consts,
-        ),
-    ]
+    eps = EXACT_EPS * max(1.0, mse)
+    bounds = {
+        "mse_vs_response_sd_gap": bias_sq + (c_g * np.sqrt(var_f) - np.sqrt(var_y)) ** 2,
+        "mse_vs_response_variance": bias_sq + (c_g - 1.0 / c_f) ** 2 * var_f,
+        "mse_vs_target_variance": bias_sq + (c_g * c_f - 1.0) ** 2 * var_y,
+    }
     if check_reduced_forms:
-        reports.append(
-            _report("reduced_response_variance", mse, (c_g - 1.0 / c_f) ** 2 * var_f, eps, consts)
-        )
-        reports.append(
-            _report("reduced_input_variance", mse, (c_g * c_f - 1.0) ** 2 * var_x, eps, consts)
-        )
+        bounds["reduced_response_variance"] = (c_g - 1.0 / c_f) ** 2 * var_f
+        bounds["reduced_input_variance"] = (c_g * c_f - 1.0) ** 2 * var_x
+    reports = [_report(name, mse, rhs, eps, consts) for name, rhs in bounds.items()]
     return TheoremResult(refused=False, refusal_reason=None, reports=reports)
 
 
@@ -448,7 +431,12 @@ class SuiteReport:
     trials: int
     reports: list
     refusals: list
-    violations: int
+
+    @property
+    def violations(self) -> int:
+        """Reports that do not hold plus refusals that were not expected."""
+        return (sum(not r.holds for r in self.reports)
+                + sum(not expected_ok for _, _, expected_ok in self.refusals))
 
     @property
     def ok(self) -> bool:
@@ -579,7 +567,6 @@ def run_verification_suite(trials: int, seed: int) -> SuiteReport:
     eq_head = LinearHead.from_matrix(2.0 * np.eye(3))
     eq = check_lemma1(eq_head, eq_samples)
     eq.name = "head_variance_propagation_equality"
-    eq.constants["equality_gap_rel"] = abs(eq.lhs - eq.rhs) / eq.rhs
     reports.append(eq)
 
     # Chained bound, analytic equality configuration: F doubles a centered
@@ -590,9 +577,6 @@ def run_verification_suite(trials: int, seed: int) -> SuiteReport:
     ident = LinearHead.from_matrix(np.array([[1.0]]))
     res = check_theorem1(x, double, ident, x, check_reduced_forms=True)
     _record_admissible("theorem_analytic_case", "analytic_", res, reports, refusals)
-    for rep in res.reports:
-        if rep.name == "analytic_mse_vs_target_variance":
-            rep.constants["equality_gap_rel"] = abs(rep.lhs - rep.rhs) / rep.lhs
 
     # Random admissible configurations.
     for i in range(100):
@@ -610,16 +594,11 @@ def run_verification_suite(trials: int, seed: int) -> SuiteReport:
 
     # Refusal probes: these MUST refuse.
     x = draw_samples(DistributionSpec(kind="gaussian", dim=2, n=4_000, seed=seed + 11))
-    shrink = linear_map(0.3 * np.eye(2))
-    res = check_theorem1(x, shrink, LinearHead.from_matrix(np.eye(2)), x)
-    refusals.append(("probe_subunit_product", res.refusal_reason or "NOT REFUSED", res.refused))
-    res = check_theorem1(x, linear_map(2.0 * np.eye(2)), LinearHead.from_matrix(np.eye(2)), 2.0 * x)
-    refusals.append(("probe_variance_mismatch", res.refusal_reason or "NOT REFUSED", res.refused))
+    for case, gain, y in (("probe_subunit_product", 0.3, x), ("probe_variance_mismatch", 2.0, 2.0 * x)):
+        res = check_theorem1(x, linear_map(gain * np.eye(2)), LinearHead.from_matrix(np.eye(2)), y)
+        refusals.append((case, res.refusal_reason or "NOT REFUSED", res.refused))
 
-    violations = sum(1 for r in reports if not r.holds)
-    violations += sum(1 for _, _, expected_ok in refusals if not expected_ok)
-    return SuiteReport(seed=seed, trials=trials, reports=reports,
-                       refusals=refusals, violations=violations)
+    return SuiteReport(seed=seed, trials=trials, reports=reports, refusals=refusals)
 
 
 def render_report(suite: SuiteReport) -> str:

@@ -150,7 +150,8 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Flat key = value lines of UTF-8 text, with or without a byte-order mark; '#' starts a comment."""
+    """Flat key = value lines of UTF-8 text, with or without a byte-order mark; '#' starts
+    a comment, and a key ('-' read as '_') may be given once."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -166,6 +167,8 @@ def parse_config_file(path) -> dict:
         key = key.replace("-", "_")
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
         out[key] = _coerce(key, raw)
     return out
 

@@ -25,6 +25,11 @@ def _color(v: float, vmax: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _text(x, y, body) -> str:
+    """One LABEL_FONT monospace text element at (x, y)."""
+    return f'<text x="{x}" y="{y}" font-family="monospace" font-size="{LABEL_FONT}">{body}</text>'
+
+
 def heatmap_svg(panels: list) -> str:
     """Render labelled (layers x heads) grids side by side under TITLE.
 
@@ -48,15 +53,9 @@ def heatmap_svg(panels: list) -> str:
         label = label.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
         x0 = GAP + p * (panel_w + GAP) + MARGIN_LEFT
         y0 = MARGIN_TOP
-        parts.append(
-            f'<text x="{x0}" y="{y0 - 6}" font-family="monospace" '
-            f'font-size="{LABEL_FONT}">{label}</text>'
-        )
+        parts.append(_text(x0, y0 - 6, label))
         for layer in range(layers):
-            parts.append(
-                f'<text x="{x0 - 40}" y="{y0 + layer * CELL + 18}" font-family="monospace" '
-                f'font-size="{LABEL_FONT}">L{layer}</text>'
-            )
+            parts.append(_text(x0 - 40, y0 + layer * CELL + 18, f"L{layer}"))
             for head in range(heads):
                 v = float(grid[layer, head])
                 parts.append(
@@ -66,13 +65,7 @@ def heatmap_svg(panels: list) -> str:
                     f'data-layer="{layer}" data-head="{head}" data-value="{v!r}"/>'
                 )
         for head in range(heads):
-            parts.append(
-                f'<text x="{x0 + head * CELL + 6}" y="{y0 + layers * CELL + 14}" '
-                f'font-family="monospace" font-size="{LABEL_FONT}">H{head}</text>'
-            )
-    parts.append(
-        f'<text x="{GAP}" y="{height - 10}" font-family="monospace" '
-        f'font-size="{LABEL_FONT}">linear scale, max={vmax!r}</text>'
-    )
+            parts.append(_text(x0 + head * CELL + 6, y0 + layers * CELL + 14, f"H{head}"))
+    parts.append(_text(GAP, height - 10, f"linear scale, max={vmax!r}"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

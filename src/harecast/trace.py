@@ -116,7 +116,8 @@ def _batch_grids(records) -> dict:
     """Per-batch (layer, head) cross-sample variance grids and batch CSI-M.
 
     Indices must run 0..L-1 and 0..M-1 and every batch must hold every
-    cell; any other trace is a DataError, raised before a grid is allocated.
+    cell, each of at least 2 samples; any other trace is a DataError, and a
+    missing index or cell is refused before a grid is allocated.
     """
     layers, heads = (len({getattr(r, axis) for r in records}) for axis in ("layer", "head"))
     if not all(0 <= r.layer < layers and 0 <= r.head < heads for r in records):
@@ -140,7 +141,7 @@ def _batch_grids(records) -> dict:
         grid = np.zeros((layers, heads))
         for (layer, head), entries in cells.items():
             if len(entries) < 2:
-                raise ConfigError(
+                raise DataError(
                     f"batch {key} cell (layer {layer}, head {head}) has fewer than 2 samples"
                 )
             # Sort by sample id before reducing so the result is independent

@@ -12,8 +12,10 @@ target), `verify-theory --trials 10000 --seed 0` and `--trials 2001 --seed
 draw), the two attention_pushforward clouds (dim 4 and 6, 10^4 samples
 each) that open the seed-0 suite's head-variance checks, `gradcheck --seeds 2` stdout, the horizon-40 forecast
 of a default seed-0 model, the `eval` CSV of that forecast under both
-threshold profiles, and the rendered train split (`x_radar` and `y_future`
-at the default config, `x_sat` at the micro multimodal config).
+threshold profiles, the rendered train split (`x_radar` and `y_future`
+at the default config, `x_sat` at the micro multimodal config), and the
+`analyze` CSV and SVG heatmap of the plain micro run's `probe_trace.jsonl`
+with `--split-by-csi` and of its `trace.jsonl` with `--per-batch`.
 
 `artifact_digests.txt` pins this output, and `test_artifact_digests.py`
 compares a fresh run with it line by line.  Regenerate it with
@@ -132,6 +134,13 @@ def digests(tmp: Path):
                                            *TRAIN_VARIANTS["train-toy-multimodal"]])
     x_sat = train_split(cli.build_train_config(micro))["x_sat"]
     yield "train-split-micro-multimodal/x_sat", sha256(x_sat.tobytes())
+
+    for name, trace, flag in (("analyze-split-by-csi", "probe_trace.jsonl", "--split-by-csi"),
+                              ("analyze-per-batch", "trace.jsonl", "--per-batch")):
+        csv, svg = tmp / f"{name}.csv", tmp / f"{name}.svg"
+        run(["analyze", "--input", tmp / "train-toy" / trace, flag, "--out-csv", csv, "--out-svg", svg])
+        for path in (csv, svg):
+            yield f"{name}/heatmap{path.suffix}", sha256(path.read_bytes())
 
 
 def main() -> int:

@@ -137,7 +137,9 @@ class TestTraceIO:
         ([rec(layer=3, head=2, sample=s) for s in (0, 1)], "indices must each run from 0 without gaps"),
         # batch 1 lacks cell (layer 1, head 1), which batch 0 has
         ([r for r in small_trace() if (r.batch_id, r.layer, r.head) != (1, 1, 1)], "holds 3 of the 4"),
-    ], ids=["sparse_indices", "missing_cell"])
+        # one sample has no cross-sample variance
+        ([rec()], r"batch \('r', 0, 0\) cell \(layer 0, head 0\) has fewer than 2 samples"),
+    ], ids=["sparse_indices", "missing_cell", "single_sample_cell"])
     def test_incomplete_grid_rejected(self, tmp_path, capsys, records, match):
         p = tmp_path / "t.jsonl"
         write_trace(p, records)
@@ -202,7 +204,7 @@ class TestAnalyze:
             analyze_trace(records, split_by_csi=True)
 
     def test_single_sample_batch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="fewer than 2 samples"):
             analyze_trace([rec()])
 
     def test_per_batch_mode(self):
@@ -578,6 +580,23 @@ class TestCliCommands:
         assert cli.parse_config_file(marked) == cli.parse_config_file(plain) == {"steps": 3, "lambda_hare": 0.5}
         args = cli.build_parser().parse_args(["train-toy", "--out", str(tmp_path / "x"), "--config", str(marked)])
         assert cli.build_train_config(args) == training.TrainConfig(steps=3, lambda_hare=0.5)
+
+    @pytest.mark.parametrize("text,key", [("steps = 2\nsteps = 3\n", "steps"),
+                                          ("n-train = 4\nn_train = 4\n", "n_train")])
+    def test_config_key_given_twice_rejected(self, tmp_path, capsys, text, key):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(text, encoding="utf-8")
+        assert self.run("train-toy", "--out", str(tmp_path / "x"), "--config", str(cfgfile)) == 2
+        assert capsys.readouterr().err == f"error: {cfgfile}:2: config key {key!r} given twice\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_flag_overrides_config_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("steps = 3\n", encoding="utf-8")
+        assert MICRO[:2] == ["--steps", "3"]
+        assert self.run("train-toy", "--out", str(tmp_path / "out"), "--config", str(cfgfile),
+                        "--steps", "2", *MICRO[2:]) == 0
+        assert "steps: 2" in capsys.readouterr().out.splitlines()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
