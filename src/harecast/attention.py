@@ -110,7 +110,7 @@ def mha_forward(x: np.ndarray, params: dict, heads: int):
     scale = 1.0 / np.sqrt(d // heads)
     q, k, v = (_split_heads(_project(x, params["w" + c], params["b" + c]), heads) for c in "qkv")
 
-    # The scores become the attention maps in place.
+    # The scores become the attention maps in place; scaling out of place read 0.994-1.004x (noise).
     a = np.matmul(q, k.transpose(0, 1, 3, 2))
     a *= scale
     _softmax_in_place(a)
@@ -155,6 +155,7 @@ def mha_backward(
     if grad_o_extra is not None:
         g_o = g_o + grad_o_extra
 
+    # dS, dQ, dK and grad_x form in place: out of place read the train op 1.001-1.013x.
     g_s = np.matmul(g_o, v.transpose(0, 1, 3, 2))  # dA, then dS in place
     g_v = np.matmul(a.transpose(0, 1, 3, 2), g_o)
     # Softmax rows: dS = A * (dA - rowsum(dA * A)).

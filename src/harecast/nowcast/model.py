@@ -90,14 +90,11 @@ def encode(x_radar: np.ndarray, x_sat: np.ndarray | None, cfg: TrainConfig, para
         pieces.append(patchify(x_sat, cfg.patch))
     patches = np.concatenate(pieces, axis=2)
 
-    h = patches @ params["enc.embed.w"]
-    h += params["enc.embed.b"]
-    h += params["enc.pos"]
+    h = patches @ params["enc.embed.w"] + params["enc.embed.b"] + params["enc.pos"]
     block_caches = []
     for layer in range(cfg.layers):
         y, cache = mha_forward(h, block_params(params, f"enc.block{layer}"), cfg.heads)
-        y += h  # the residual sum; the cache keeps h
-        h = y
+        h = y + h  # the residual sum; the cache keeps the old h
         block_caches.append(cache)
     return h, EncoderCache(patches=patches, block_caches=block_caches)
 
@@ -122,8 +119,7 @@ def encode_backward(
         block_grads, gx = mha_backward(bp, cfg.heads, cache.block_caches[layer], g, extra)
         for name, arr in block_grads.items():
             grads[f"enc.block{layer}.{name}"] += arr
-        gx += g
-        g = gx
+        g = gx + g
     grads["enc.pos"] += g.sum(axis=0)
     grads["enc.embed.b"] += g.sum(axis=(0, 1))
     grads["enc.embed.w"] += weight_grad(cache.patches, g)

@@ -89,7 +89,7 @@ def read_trace(path) -> list[TraceRecord]:
                 # first, so a line that is not a JSON object fails on its first key.
                 rec = TraceRecord(**{f.name: _typed(obj, f) for f in fields(TraceRecord)
                                      if f.default is MISSING or f.name in obj})
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise DataError(f"{path}: malformed trace record at line {lineno}: {exc}") from exc
             if not all(math.isfinite(v) for v in (rec.energy, rec.batch_csi_m) if v is not None):
                 raise DataError(f"{path}: non-finite value at line {lineno}")

@@ -15,7 +15,11 @@ of a default seed-0 model, the `eval` CSV of that forecast under both
 threshold profiles, the rendered train split (`x_radar` and `y_future`
 at the default config, `x_sat` at the micro multimodal config), and the
 `analyze` CSV and SVG heatmap of the plain micro run's `probe_trace.jsonl`
-with `--split-by-csi` and of its `trace.jsonl` with `--per-batch`.
+with `--split-by-csi` and of its `trace.jsonl` with `--per-batch`.  Two
+more `train-toy` runs pin the conv paths the rest never takes: default
+sizes with `--steps 2` (chunked forwards, multi-chunk backwards), and the
+micro arguments with `--cond-dim 1 --width 4 --patch 4` (the window-form
+backward of a one-column output).
 
 `artifact_digests.txt` pins this output, and `test_artifact_digests.py`
 compares a fresh run with it line by line.  Regenerate it with
@@ -59,6 +63,10 @@ TRAIN_VARIANTS = {
     "train-toy-multimodal": ["--mode", "multimodal"],
     "train-toy-masked-nodetach": ["--mask-fraction", "0.5", "--detach-target", "false"],
 }
+CONV_PATH_RUNS = {
+    "train-toy-default-steps2": ["--steps", "2"],
+    "train-toy-micro-width4": [*MICRO, "--cond-dim", "1", "--width", "4", "--patch", "4"],
+}
 HORIZON = 40
 
 
@@ -95,12 +103,17 @@ def forecast() -> tuple:
     return pred, radar[cfg.frames_in:]
 
 
+def train_digests(tmp: Path, name: str, argv):
+    """Digest of each file `train-toy --out tmp/name <argv>` writes."""
+    out = tmp / name
+    run(["train-toy", "--out", out, *argv])
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        yield f"{name}/{path.relative_to(out)}", sha256(path.read_bytes())
+
+
 def digests(tmp: Path):
     for name, extra in TRAIN_VARIANTS.items():
-        out = tmp / name
-        run(["train-toy", "--out", out, *MICRO, *extra])
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            yield f"{name}/{path.relative_to(out)}", sha256(path.read_bytes())
+        yield from train_digests(tmp, name, [*MICRO, *extra])
 
     report = tmp / "report.txt"
     run(["verify-theory", "--trials", "10000", "--seed", "0", "--report", report])
@@ -141,6 +154,12 @@ def digests(tmp: Path):
         run(["analyze", "--input", tmp / "train-toy" / trace, flag, "--out-csv", csv, "--out-svg", svg])
         for path in (csv, svg):
             yield f"{name}/heatmap{path.suffix}", sha256(path.read_bytes())
+
+    # Conv paths the runs above never take: chunked forwards and multi-chunk
+    # backwards at the default sizes, and the window-form backward of a
+    # one-column output.
+    for name, argv in CONV_PATH_RUNS.items():
+        yield from train_digests(tmp, name, argv)
 
 
 def main() -> int:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harecast import bounds
+from harecast import bounds, cli
 from harecast.attention import LinearHead
 from harecast.bounds import (
     DistributionSpec,
@@ -408,6 +408,20 @@ class TestSuite:
     def test_fault_injection_trips(self, broken_lemma1):
         bad = run_verification_suite(trials=50, seed=7)
         assert not bad.ok
+
+    def test_refused_admissible_case_is_a_violation(self, monkeypatch, tmp_path):
+        real = bounds.check_theorem1
+
+        def refuse_analytic(x, fmap, head, y, check_reduced_forms=False):
+            if check_reduced_forms:  # only the analytic equality case asks for them
+                return bounds.TheoremResult(refused=True, refusal_reason="injected refusal")
+            return real(x, fmap, head, y, check_reduced_forms)
+
+        monkeypatch.setattr(bounds, "check_theorem1", refuse_analytic)
+        suite = run_verification_suite(trials=50, seed=7)
+        assert not suite.ok
+        assert "[refusal UNEXPECTED] theorem_analytic_case: injected refusal" in render_report(suite).splitlines()
+        assert cli.main(["verify-theory", "--trials", "50", "--report", str(tmp_path / "r.txt")]) == 1
 
     def test_trials_validated(self):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import resource
+import stat
 import struct
 import subprocess
 import sys
@@ -71,6 +72,24 @@ class TestTraceIO:
         p.write_text(small_trace()[0].to_line() + "\n{oops\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             read_trace(p)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        plain, spaced = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+        write_trace(plain, small_trace())
+        spaced.write_text("\n\n".join(plain.read_text().splitlines()) + "\n\n  \n", encoding="utf-8")
+        assert read_trace(spaced) == read_trace(plain)
+        for trace in (plain, spaced):
+            assert main(["analyze", "--input", str(trace), "--out-csv", str(trace.with_suffix(".csv"))]) == 0
+        assert plain.with_suffix(".csv").read_bytes() == spaced.with_suffix(".csv").read_bytes()
+
+    def test_deeply_nested_line_is_malformed(self, tmp_path, capsys):
+        # json's parser recurses once per bracket and runs out of stack.
+        p = tmp_path / "deep.jsonl"
+        p.write_text("[" * 200_000 + "]" * 200_000 + "\n", encoding="utf-8")
+        assert main(["analyze", "--input", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: malformed trace record at line 1: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
 
     def test_refused_record_leaves_the_old_file(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -547,6 +566,44 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} {path}: ") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command,flag", [
+        ("analyze", "--out-csv"), ("analyze", "--out-svg"), ("eval", "--out-csv"), ("verify-theory", "--report"),
+    ])
+    def test_output_path_that_is_not_a_regular_file_refused(self, tmp_path, capsys, monkeypatch, command, flag):
+        # Renaming the finished file over a FIFO would silently replace it.
+        monkeypatch.setattr(cli, "run_verification_suite", lambda *args, **kw: pytest.fail("suite ran"))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        if command == "analyze":
+            write_trace(tmp_path / "t.jsonl", small_trace())
+            argv = ["analyze", "--input", str(tmp_path / "t.jsonl"), flag, str(fifo)]
+        elif command == "eval":
+            pred_dir, truth_dir = TestCliEval().make_dirs(tmp_path)
+            argv = ["eval", "--pred", str(pred_dir), "--truth", str(truth_dir), flag, str(fifo)]
+        else:
+            argv = ["verify-theory", "--trials", "50", flag, str(fifo)]
+        assert self.run(*argv) == 3
+        assert capsys.readouterr().err == f"error: {flag} {fifo}: is not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_symlink_to_a_regular_file_output_is_replaced(self, tmp_path):
+        write_trace(tmp_path / "t.jsonl", small_trace())
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert self.run("analyze", "--input", str(tmp_path / "t.jsonl"), "--out-csv", str(link)) == 0
+        assert not link.is_symlink() and link.read_text().startswith("group,")
+        assert target.read_text() == "old"
+
+    @pytest.mark.parametrize("trials", ["4611686018427387904", "100000000000000000000"])
+    def test_trials_numpy_cannot_size_exit_2(self, tmp_path, capsys, trials):
+        # NumPy refuses both sizes before allocating anything.
+        report = tmp_path / "report.txt"
+        assert self.run("verify-theory", "--trials", trials, "--report", str(report)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: verify-theory: out of memory: ") and err.count("\n") == 1
+        assert not report.exists()
 
     @pytest.mark.parametrize("key,raw", [("steps", "abc"), ("steps", "1.5"), ("learning_rate", "fast")])
     @pytest.mark.parametrize("route", ["flag", "config"])
